@@ -3,7 +3,6 @@ harness for the three-dimensional Gaussian product inequality."""
 
 from .core import (
     Polynomial,
-    Rational,
     SameSignError,
     SplitMix64,
     format_rational,

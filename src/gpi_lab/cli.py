@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -335,6 +334,9 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     ]
     workers = min(_thread_cap(), config.count)
     if workers > 1:
+        # Imported here: it takes about 20 ms, and sweeps are sequential by default.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_sweep_point, tasks, chunksize=8))
     else:

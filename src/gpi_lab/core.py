@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 Scalar = Union[Fraction, int, str]
 
 _MASK64 = (1 << 64) - 1

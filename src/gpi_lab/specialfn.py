@@ -136,10 +136,6 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def hyp2f1_from_params(params: HypergeometricParams) -> Fraction:
-    return hyp2f1_terminating(params.a, params.b, params.c, params.z)
-
-
 def pfaff_instance(r: int, m: int, n: int, z: Scalar) -> HypergeometricParams:
     """Parameters (a, b, c; z) = (-2r, 1/2 + m, 1/2 - n - 2r; z) of the Pfaff bridge."""
     if r < 1 or m < 0 or n < 0:

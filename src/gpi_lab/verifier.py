@@ -369,7 +369,7 @@ def check_thm22(m: int, n: int, r: int, a2: Scalar, b2: Scalar) -> InequalityVer
     """E[X^{2m} Y^{2n} (X^2-Y^2)^{2r}] >= hb((m^n)+r, r) E[X^{2m}] E[Y^{2n}] (E[(X+Y)^{2r}])^2.
 
     The left side is expanded binomially into independent even moments, not
-    routed through the joint-moment recursion; equality holds exactly on
+    routed through the joint-moment engine; equality holds exactly on
     {m = n and a2 = b2}, which the verdict records as the condition flag.
     """
     if m < 0 or n < 0 or r < 1:

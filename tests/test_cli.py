@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,6 +79,26 @@ class TestMoment:
             capsys, "moment", "--cov", str(tmp_path / "nope.json"), "--exps", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"dim": 1}, [1], {"dim": 1, "entries": [["1/0"]]}],
+        ids=["missing-entries", "not-an-object", "zero-denominator"],
+    )
+    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gpi-lab: error:")
+
+    def test_high_degree_has_no_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "cov1.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [["2"]]}))
+        code, out, _ = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2000")
+        assert code == 0
+        assert int(out) == math.prod(range(1, 2000, 2)) * 2**1000  # 1999!! v^1000
 
     def test_non_psd_covariance_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -277,6 +301,15 @@ class TestSweep:
         sequential = run_sweep(config)
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         assert run_sweep(config) == sequential
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # Sequential sweeps are the default; the pool is imported on first use.
+        probe = (
+            "import sys, gpi_lab.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
     def test_invalid_thread_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.THREADS_ENV, "zero")

@@ -1,14 +1,15 @@
-"""Moment engine against the brute-force pairing oracle and hand-derived values.
+"""Moment engine against independent routes and hand-derived values.
 
 The pairing oracle (exhaustive sum over perfect matchings) is validated first
-on values small enough to count by hand; the memoized recursion then has to
-agree with it everywhere.
+on values small enough to count by hand; the pairing-count engine then has to
+agree with it, with the Wick recursion and with Kan's formula everywhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from gpi_lab import (
     random_covariance,
     univariate_even_moment,
 )
-from gpi_lab._pairing import pairing_moment
+from gpi_lab._pairing import pairing_moment, wick_moment
 from gpi_lab.moments import principal_minor
 
 from conftest import bounded_exponents, gram_covariances
@@ -149,6 +150,92 @@ class TestGaussianMoment:
         )
 
 
+def kan_moment(cov: CovarianceMatrix, ks: tuple[int, ...]) -> Fraction:
+    """Kan (2008), "From moments of sum to moments of product", Proposition 1:
+
+    E[prod X_i^{k_i}] = 1/s! sum_v (-1)^{sum v} prod C(k_i, v_i) (h' cov h / 2)^s
+
+    over 0 <= v_i <= k_i, with h_i = k_i/2 - v_i and s half the total degree.
+    """
+    total_degree = sum(ks)
+    if total_degree % 2:
+        return Fraction(0)
+    s = total_degree // 2
+    d = len(ks)
+    total = Fraction(0)
+    for v in itertools.product(*(range(k + 1) for k in ks)):
+        h = [Fraction(k, 2) - vi for k, vi in zip(ks, v)]
+        quad = sum(h[i] * cov.entries[i][j] * h[j] for i in range(d) for j in range(d)) / 2
+        weight = math.prod(math.comb(k, vi) for k, vi in zip(ks, v))
+        total += (-1) ** sum(v) * weight * quad**s
+    return total / math.factorial(s)
+
+
+def _seeded_covariance(rng: random.Random, d: int) -> CovarianceMatrix:
+    """Gram matrix of a d x r rational matrix with entries of both signs; r < d
+    makes it singular, and a zeroed cross block leaves zero off-diagonals."""
+    r = rng.randint(1, d)
+    a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)] for _ in range(d)]
+    rows = [[sum(a[i][t] * a[j][t] for t in range(r)) for j in range(d)] for i in range(d)]
+    if d > 1 and rng.random() < 0.3:
+        split = rng.randint(1, d - 1)
+        rows = [
+            [rows[i][j] if (i < split) == (j < split) else Fraction(0) for j in range(d)]
+            for i in range(d)
+        ]
+    return CovarianceMatrix.from_rows(rows)
+
+
+class TestIndependentRoutes:
+    """The engine shares no arithmetic with the Wick recursion, the pairing
+    enumeration or Kan's formula, so agreement on every instance checks it."""
+
+    def test_seeded_cross_check(self):
+        rng = random.Random(20220614)
+        for trial in range(160):
+            d = trial % 4 + 1
+            cov = _seeded_covariance(rng, d)
+            for _ in range(3):
+                ks = tuple(rng.randint(0, 8 // d + 1) for _ in range(d))
+                value = gaussian_moment(cov, ks)
+                assert value == wick_moment(cov, ks), (cov, ks)
+                assert value == kan_moment(cov, ks), (cov, ks)
+                if sum(ks) <= 8:
+                    assert value == pairing_moment(cov, ks), (cov, ks)
+
+    def test_named_degenerate_instances(self):
+        singular = CovarianceMatrix.from_rows([[4, -2, 2], [-2, 1, -1], [2, -1, 1]])
+        zeros_4x4 = CovarianceMatrix.from_rows(
+            [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 2, 0], [1, -1, 0, 2]]
+        )
+        negative = CovarianceMatrix.from_rows([["1/2", "-1/3"], ["-1/3", "5/4"]])
+        for cov, ks in [
+            (singular, (2, 2, 2)),
+            (singular, (3, 1, 2)),
+            (singular, (1, 2, 2)),  # odd total degree
+            (zeros_4x4, (2, 2, 2, 2)),
+            (zeros_4x4, (1, 1, 1, 1)),
+            (negative, (3, 3)),
+            (negative, (5, 1)),
+            (CovarianceMatrix.from_rows([["7/3"]]), (6,)),
+        ]:
+            value = gaussian_moment(cov, ks)
+            assert value == wick_moment(cov, ks) == pairing_moment(cov, ks), (cov, ks)
+            assert value == kan_moment(cov, ks), (cov, ks)
+
+    def test_interleaved_covariances_and_growing_degrees(self):
+        # Alternate two covariances and raise, then lower, the degree, so the
+        # engine's tables are rebuilt and extended between calls.
+        a = CovarianceMatrix.from_rows([[5, 2, -1], [2, 3, 1], [-1, 1, 2]])
+        b = CovarianceMatrix.from_rows([["1/2", "1/4", 0], ["1/4", 1, "1/3"], [0, "1/3", 3]])
+        for m in (1, 4, 2, 6, 1):
+            for cov in (a, b, a):
+                ks = (2 * m, 2 * m, 2)
+                assert gaussian_moment(cov, ks) == wick_moment(cov, ks), (cov, ks)
+        # An equal covariance built separately gives the same value.
+        assert gaussian_moment(CovarianceMatrix(a.entries), (6, 4, 2)) == wick_moment(a, (6, 4, 2))
+
+
 class TestUnivariateEvenMoment:
     def test_standard_fourth(self):
         assert univariate_even_moment(1, 2) == 3
@@ -156,13 +243,19 @@ class TestUnivariateEvenMoment:
     def test_variance_two_second(self):
         assert univariate_even_moment(2, 1) == 2
 
+    def test_degree_4000_has_no_recursion_limit(self):
+        variance = Fraction(3, 2)
+        cov = CovarianceMatrix.from_rows([[variance]])
+        expected = math.prod(range(1, 4000, 2)) * variance**2000  # 3999!! v^2000
+        assert gaussian_moment(cov, (4000,)) == expected
+
     def test_sixth_matches_engine(self):
         cov = CovarianceMatrix.from_rows([[1]])
         assert univariate_even_moment(1, 3) == 15
         assert gaussian_moment(cov, (6,)) == 15
 
     def test_sum_moment_closed_form_high_degree(self):
-        # E[(X+Y)^{2r}] = (2r-1)!! (a2+b2)^r through the joint recursion, up to
+        # E[(X+Y)^{2r}] = (2r-1)!! (a2+b2)^r through the joint-moment engine, up to
         # degree 20, on the 3x3 covariance of (X, Y, X+Y).
         for a2, b2 in [(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(3))]:
             cov3 = CovarianceMatrix.from_rows(
