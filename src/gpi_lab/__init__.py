@@ -8,8 +8,6 @@ from .core import (
     format_rational,
     isolate_root,
     parse_rational,
-    poly_derivative,
-    poly_eval,
 )
 from .identities import (
     IdentityVerdict,

@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"gpi-lab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ plain bisection driven by exact sign evaluations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -42,11 +43,18 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _integer_coeffs(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer coefficients over the lcm of the denominators, and that lcm."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 class Polynomial:
     """Dense univariate polynomial over rationals; coefficient i multiplies x^i.
 
-    Instances are immutable; the zero polynomial stores an empty tuple and
-    reports degree -1.
+    Products convolve integer coefficients over a common denominator and
+    reduce once per output coefficient.  Instances are immutable; the zero
+    polynomial stores an empty tuple and reports degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -107,13 +115,16 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
+            a, da = _integer_coeffs(self.coeffs)
+            b, db = _integer_coeffs(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x == 0:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            den = da * db
+            return Polynomial(Fraction(c, den) for c in out)
         if isinstance(other, (int, Fraction)):
             return Polynomial(Fraction(other) * c for c in self.coeffs)
         return NotImplemented
@@ -130,16 +141,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-
-def poly_eval(p: Polynomial, x: Scalar) -> Fraction:
-    """Exact Horner evaluation of p at x."""
-    return p(x)
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    """Formal derivative; drops the degree of a nonconstant p by one."""
-    return p.derivative()
 
 
 def isolate_root(

@@ -9,7 +9,9 @@ interpolation, so "L is identically zero" is a statement about coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -54,17 +56,17 @@ def check_symmetric_identity(n: int, r: int) -> IdentityVerdict:
     """
     if n < 0 or r < 1:
         raise OutOfRangeError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
-    half = Fraction(1, 2)
-    lhs = sum(
-        (
-            (-1) ** i
-            * math.comb(2 * r, i)
-            * pochhammer(half, n + 2 * r - i)
-            * pochhammer(half, n + i)
+    # (1/2)_k = (2k-1)!!/2^k, so every lhs term shares the denominator
+    # 2^{(n+2r-i)+(n+i)} = 4^{n+r}: sum the integer numerators, divide once.
+    odd = list(itertools.accumulate(range(1, 2 * (n + 2 * r), 2), operator.mul, initial=1))
+    lhs = Fraction(
+        sum(
+            (-1) ** i * math.comb(2 * r, i) * odd[n + 2 * r - i] * odd[n + i]
             for i in range(2 * r + 1)
         ),
-        Fraction(0),
+        4 ** (n + r),
     )
+    half = Fraction(1, 2)
     rhs = 2 ** (2 * r) * pochhammer(half, n) * pochhammer(half, r) * pochhammer(half, n + r)
     return IdentityVerdict("symmetric_identity", {"n": n, "r": r}, lhs, rhs)
 

@@ -63,10 +63,12 @@ def pochhammer(alpha: Scalar, n: int) -> Fraction:
     if n < 0:
         raise OutOfRangeError(f"pochhammer order must be >= 0, got {n}")
     alpha = Fraction(alpha)
-    acc = Fraction(1)
+    p, q = alpha.numerator, alpha.denominator
+    # (p/q + i) = (p + i q)/q: multiply the integer numerators, reduce once.
+    num = 1
     for i in range(n):
-        acc *= alpha + i
-    return acc
+        num *= p + i * q
+    return Fraction(num, q**n)
 
 
 def double_factorial_odd(n: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import pytest
 from gpi_lab import cli
 from gpi_lab.cli import SweepConfig, covariance_hash, main, run_sweep
 from gpi_lab.moments import CovarianceMatrix
+
+IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
 
 WEI_JSON = {"dim": 3, "entries": [["1", "1", "1"], ["1", "5", "-3"], ["1", "-3", "5"]]}
 
@@ -127,6 +130,12 @@ class TestIdentities:
             "L_zero_polynomial",
         }
         assert "failed=0" in err
+
+    def test_default_report_bytes_are_pinned(self, capsys):
+        # A speed-up that changes any report byte is a bug.
+        code, out, _ = run_cli(capsys, "identities")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == IDENTITIES_DEFAULT_SHA256
 
 
 class TestCheck:
@@ -334,6 +343,25 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--claim", "prop21", "--a2", "1/0"],
+            ["hyp", "--a", "0", "--b", "1", "--c", "1", "--z", "1/0"],
+        ],
+        ids=["check", "hyp"],
+    )
+    def test_zero_denominator_is_usage_error(self, argv):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpi_lab", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("gpi-lab: error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_bad_exponent_list(self, capsys, wei_cov_file):
         code, _, err = run_cli(capsys, "moment", "--cov", wei_cov_file, "--exps", "2,x,2")

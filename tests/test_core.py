@@ -16,8 +16,6 @@ from gpi_lab import (
     format_rational,
     isolate_root,
     parse_rational,
-    poly_derivative,
-    poly_eval,
 )
 
 from conftest import polynomials, rationals
@@ -71,7 +69,7 @@ class TestRationalSerialization:
 
 class TestPolynomial:
     def test_zero_polynomial_evaluates_to_zero(self):
-        assert poly_eval(Polynomial([0]), Fraction(7, 3)) == 0
+        assert Polynomial([0])(Fraction(7, 3)) == 0
         assert Polynomial([0]).coeffs == ()
         assert Polynomial().degree == -1
 
@@ -83,13 +81,13 @@ class TestPolynomial:
         assert Polynomial([1, -2, 1])(HALF) == Fraction(1, 4)
 
     def test_derivative_of_constant(self):
-        assert poly_derivative(Polynomial([5])).is_zero()
+        assert Polynomial([5]).derivative().is_zero()
 
     def test_power_rule(self):
-        assert poly_derivative(Polynomial([0, 0, 1])) == Polynomial([0, 2])
+        assert Polynomial([0, 0, 1]).derivative() == Polynomial([0, 2])
 
     def test_derivative_root_matches_eval(self):
-        d = poly_derivative(Polynomial([1, -2, 1]))
+        d = Polynomial([1, -2, 1]).derivative()
         assert d == Polynomial([-2, 2])
         assert d(1) == 0
 
@@ -127,6 +125,56 @@ class TestPolynomial:
             Fraction(0),
         )
         assert abs(residual) <= bound * h
+
+
+def naive_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Convolution in running Fractions: the product before the integer path."""
+    if p.is_zero() or q.is_zero():
+        return Polynomial()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def sparse_polynomials(max_degree: int = 8) -> st.SearchStrategy[Polynomial]:
+    """Mixed denominators with frequent zero coefficients, interior and trailing."""
+    coeff = st.one_of(st.just(Fraction(0)), rationals(max_num=30, max_den=24))
+    return st.lists(coeff, max_size=max_degree + 1).map(Polynomial)
+
+
+class TestPolynomialProduct:
+    @given(sparse_polynomials(), sparse_polynomials())
+    def test_matches_fraction_convolution(self, p, q):
+        product = p * q
+        assert product.coeffs == naive_product(p, q).coeffs
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert not product.coeffs or product.coeffs[-1] != 0
+
+    @given(sparse_polynomials(), st.one_of(st.integers(-9, 9), rationals(max_num=9, max_den=7)))
+    def test_scalar_operands(self, p, c):
+        expected = naive_product(p, Polynomial([c]))
+        assert (p * c).coeffs == expected.coeffs
+        assert (c * p).coeffs == expected.coeffs
+
+    def test_zero_polynomial_annihilates(self):
+        p = Polynomial([Fraction(1, 3), 0, Fraction(-5, 6)])
+        assert (p * Polynomial()).is_zero()
+        assert (Polynomial([0, 0]) * p).is_zero()
+        assert (p * 0).is_zero()
+
+    def test_mixed_denominators_with_interior_zero(self):
+        p = Polynomial([Fraction(1, 2), 0, Fraction(2, 3)])
+        q = Polynomial([Fraction(-3, 4), Fraction(5, 6)])
+        assert p * q == Polynomial(
+            [Fraction(-3, 8), Fraction(5, 12), Fraction(-1, 2), Fraction(5, 9)]
+        )
+
+    def test_trailing_zeros_are_stripped(self):
+        p = Polynomial([1, 2, 0, 0])
+        assert p.coeffs == (1, 2)
+        assert (p * Polynomial([0, Fraction(1, 2), 0])).coeffs == (0, Fraction(1, 2), 1)
 
 
 class TestIsolateRoot:

@@ -39,6 +39,21 @@ class TestSymmetricIdentity:
             for r in range(1, 9):
                 assert check_symmetric_identity(n, r).holds, (n, r)
 
+    def test_integer_lhs_matches_pochhammer_sum(self):
+        for n in range(21):
+            for r in range(1, 17):
+                lhs = sum(
+                    (
+                        (-1) ** i
+                        * math.comb(2 * r, i)
+                        * pochhammer(HALF, n + 2 * r - i)
+                        * pochhammer(HALF, n + i)
+                        for i in range(2 * r + 1)
+                    ),
+                    Fraction(0),
+                )
+                assert check_symmetric_identity(n, r).lhs == lhs, (n, r)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(OutOfRangeError):
             check_symmetric_identity(-1, 1)

@@ -30,6 +30,14 @@ from conftest import rationals
 HALF = Fraction(1, 2)
 
 
+def running_product(alpha: Fraction, n: int) -> Fraction:
+    """(alpha)_n one Fraction multiply at a time: the product before the integer path."""
+    acc = Fraction(1)
+    for i in range(n):
+        acc *= alpha + i
+    return acc
+
+
 class TestPochhammer:
     def test_rising_one_is_factorial(self):
         assert pochhammer(1, 4) == 24
@@ -47,6 +55,17 @@ class TestPochhammer:
     def test_negative_order_rejected(self):
         with pytest.raises(OutOfRangeError):
             pochhammer(1, -1)
+
+    @given(
+        st.one_of(rationals(max_num=40, max_den=12), st.integers(-30, 0).map(Fraction)),
+        st.integers(0, 60),
+    )
+    def test_matches_running_fraction_product(self, alpha, n):
+        value = pochhammer(alpha, n)
+        assert value == running_product(alpha, n)
+        assert math.gcd(value.numerator, value.denominator) == 1
+        if alpha.denominator == 1 and alpha <= 0 and n > -alpha:
+            assert value == 0
 
     @given(rationals(max_num=10, max_den=6), st.integers(0, 10), st.integers(0, 10))
     def test_shift_multiplicativity(self, alpha, m, n):
