@@ -1,223 +1,5 @@
 #!/usr/bin/env python3
-"""Run every claim family end to end and print a one-line-per-family summary.
-
-This is the desk-scale "verify the whole paper" experiment: identities,
-polynomial constructions, hypergeometric bridges, inequality grids, degenerate
-triples, and a seeded randomized sweep of the main theorem.  Exits nonzero if
-any exact verdict fails.
-
-    python scripts/run_full_verification.py
-    python scripts/run_full_verification.py --quick
-    python scripts/run_full_verification.py --sweep-count 5000 --seed 123
-"""
-
-from __future__ import annotations
-
-import argparse
+"""Runs `gpi-lab verify` with the same arguments; kept for callers of this path."""
 import sys
-import time
-from fractions import Fraction
-
-from gpi_lab import (
-    CovarianceMatrix,
-    build_polynomial_L,
-    check_H_positivity,
-    check_cor23,
-    check_corollary28,
-    check_kummer_classical,
-    check_lemma25,
-    check_lemma27,
-    check_lemma210,
-    check_lemma31,
-    check_prop21,
-    check_symmetric_identity,
-    check_thm22,
-    counterexample_wei,
-    cross_check_lemma29,
-)
-from gpi_lab.cli import SweepConfig, run_sweep
-from gpi_lab.verifier import DegenerateTriple
-
-HALF = Fraction(1, 2)
-
-
-def family(name):
-    def wrap(fn):
-        fn.family_name = name
-        return fn
-
-    return wrap
-
-
-@family("counterexample (39 < 43)")
-def run_counterexample(args):
-    lhs, rhs = counterexample_wei()
-    assert (lhs, rhs) == (39, 43)
-    assert lhs < rhs
-    return 1
-
-
-@family("combinatorial identities")
-def run_identities(args):
-    checked = 0
-    for n in range(args.n_max + 1):
-        for r in range(1, args.r_max + 1):
-            assert check_symmetric_identity(n, r).holds, (n, r)
-            checked += 1
-    for r in range(1, args.l_max + 1):
-        for l in range(1, r + 1):
-            for check in (check_lemma25, check_lemma27, check_corollary28):
-                assert check(l, r).holds, (check.__name__, l, r)
-                checked += 1
-    for r in range(1, 6):
-        for b in (Fraction(1, 3), HALF, Fraction(3, 2), Fraction(7, 3)):
-            assert check_kummer_classical(r, b).holds, (r, b)
-            checked += 1
-    return checked
-
-
-@family("auxiliary polynomial L == 0")
-def run_polynomial_L(args):
-    for r in range(1, args.r_max + 1):
-        assert build_polynomial_L(r).is_zero(), r
-    return args.r_max
-
-
-@family("moment/hypergeometric bridge")
-def run_bridge(args):
-    checked = 0
-    for m in range(args.mn_max + 1):
-        for n in range(args.mn_max + 1):
-            for r in range(1, args.bridge_r_max + 1):
-                assert cross_check_lemma29(m, n, r), (m, n, r)
-                checked += 1
-    return checked
-
-
-@family("H positivity and convexity witnesses")
-def run_H(args):
-    checked = 0
-    for r in range(1, args.bridge_r_max + 1):
-        for n in range(args.mn_max + 1):
-            for m in range(n, args.mn_max + 1):
-                for v in check_H_positivity(m, n, r, sample_count=args.samples):
-                    assert v.holds, (m, n, r, v.as_dict())
-                    checked += 1
-    return checked
-
-
-@family("stationary-point certificates (B_{m+1} vs B_m)")
-def run_stationary(args):
-    width = Fraction(1, 2**20)
-    checked = 0
-    for r in range(1, 3):
-        for n in range(args.mn_max + 1):
-            for m in range(n, args.mn_max + 1):
-                cert = check_lemma210(m, n, r, width)
-                assert cert.stationary_values_agree, (m, n, r)
-                if m == n:
-                    assert cert.derivative_at_half > 0, (m, n, r)
-                checked += 1
-    return checked
-
-
-@family("independent-pair inequality grids")
-def run_grids(args):
-    variances = (HALF, Fraction(1), Fraction(2))
-    checked = 0
-    for m in range(args.mn_max + 1):
-        for n in range(args.mn_max + 1):
-            for r in range(1, 3):
-                for a2 in variances:
-                    for b2 in variances:
-                        if m >= 1 and n >= 1:
-                            assert check_prop21(m, n, r, a2, b2).holds
-                            checked += 1
-                        v = check_thm22(m, n, r, a2, b2)
-                        assert v.holds and v.equality == (m == n and a2 == b2)
-                        checked += 1
-                for s in variances:
-                    for c in (Fraction(0), s / 2, -s / 2):
-                        cov2 = CovarianceMatrix.from_rows([[s, c], [c, s]])
-                        v = check_cor23(m, n, r, cov2)
-                        assert v.holds and v.equality == (m == n and c == 0)
-                        checked += 1
-    return checked
-
-
-@family("degenerate triples strict")
-def run_degenerate(args):
-    checked = 0
-    for a in (Fraction(-1), -HALF, HALF, Fraction(1), Fraction(2)):
-        for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
-            triple = DegenerateTriple.from_a(a, sigma2)
-            for m in range(1, args.mn_max + 1):
-                for n in range(1, args.mn_max + 1):
-                    v = check_lemma31(m, n, triple)
-                    assert v.lhs > v.rhs, (a, sigma2, m, n)
-                    checked += 1
-    return checked
-
-
-@family("randomized theorem sweep")
-def run_random_sweep(args):
-    records = run_sweep(
-        SweepConfig(seed=args.seed, count=args.sweep_count, dim=3, q=4, m_max=2, n_max=2)
-    )
-    assert all(rec["holds"] for rec in records)
-    diag = run_sweep(
-        SweepConfig(seed=args.seed + 1, count=25, dim=3, q=4, m_max=2, n_max=2, diagonal=True)
-    )
-    assert all(rec["equality"] for rec in diag)
-    return len(records) + len(diag)
-
-
-FAMILIES = (
-    run_counterexample,
-    run_identities,
-    run_polynomial_L,
-    run_bridge,
-    run_H,
-    run_stationary,
-    run_grids,
-    run_degenerate,
-    run_random_sweep,
-)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=20260810)
-    parser.add_argument("--sweep-count", type=int, default=1000)
-    parser.add_argument("--quick", action="store_true", help="shrink every range")
-    args = parser.parse_args()
-
-    args.n_max = 4 if args.quick else 8
-    args.r_max = 4 if args.quick else 8
-    args.l_max = 8 if args.quick else 20
-    args.mn_max = 2 if args.quick else 3
-    args.bridge_r_max = 2 if args.quick else 3
-    args.samples = 20 if args.quick else 50
-    if args.quick:
-        args.sweep_count = min(args.sweep_count, 100)
-
-    failures = 0
-    for fn in FAMILIES:
-        start = time.perf_counter()
-        try:
-            checked = fn(args)
-        except AssertionError as exc:
-            print(f"FAIL {fn.family_name}: {exc}")
-            failures += 1
-            continue
-        elapsed = time.perf_counter() - start
-        print(f"ok   {fn.family_name}: {checked} exact checks in {elapsed:.2f}s")
-    if failures:
-        print(f"{failures} famil{'y' if failures == 1 else 'ies'} FAILED")
-        return 1
-    print("all claim families verified exactly")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+from gpi_lab.cli import main
+sys.exit(main(["verify", *sys.argv[1:]]))

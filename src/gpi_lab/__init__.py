@@ -24,8 +24,6 @@ from .moments import (
     InvalidCovarianceError,
     NotSymmetricError,
     PsdCertificate,
-    exponents_from_json,
-    exponents_to_json,
     gaussian_moment,
     is_psd,
     random_covariance,

@@ -1,9 +1,10 @@
 """Command-line front end: moments, identity suites, claim checks, sweeps.
 
 Every report renders rationals as "p/q" strings, never as decimals.  Exit
-codes: 0 when every verdict holds, 1 when at least one claim is refuted, and
-2 for usage or input errors.  Identical configurations produce byte-identical
-reports; the only randomness source is the seeded generator.
+codes: 0 when every verdict holds, 1 when at least one claim is refuted, 2
+for usage or input errors, and 3 for an internal error (any other exception),
+so a crash never reads as a refutation.  Identical configurations produce
+byte-identical reports; the only randomness source is the seeded generator.
 """
 
 from __future__ import annotations
@@ -12,15 +13,18 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
-import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from ._pairing import pairing_moment
 from .core import Polynomial, SplitMix64, format_rational, parse_rational
 from .identities import (
+    IdentityVerdict,
     build_polynomial_L,
     check_corollary28,
     check_kummer_classical,
@@ -39,6 +43,7 @@ from .specialfn import (
 from .verifier import (
     DegenerateTriple,
     build_gamma_polynomials,
+    check_H_positivity,
     check_cor23,
     check_lemma210,
     check_lemma31,
@@ -52,8 +57,7 @@ from .verifier import (
 )
 
 KUMMER_DEFAULT_BS = ("1/3", "1/2", "3/2", "7/3")
-
-THREADS_ENV = "GPI_LAB_THREADS"
+KUMMER_R_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class SweepConfig:
 
     seed: int
     count: int
-    dim: int = 3
     q: int = 3
     m_max: int = 2
     n_max: int = 2
@@ -137,33 +140,38 @@ def cmd_counterexample(args) -> int:
     return 0 if refuted else 1
 
 
-def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
-    """Every identity family at the requested ranges, as JSON-ready dicts."""
-    out: list[dict] = []
+def identity_verdicts(
+    n_max: int, r_max: int, l_max: int, kummer_r_max: int
+) -> Iterator[IdentityVerdict]:
+    """The symmetric, lemma25/27, corollary28 and Kummer verdicts, in report order."""
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            out.append(check_symmetric_identity(n, r).as_dict())
+            yield check_symmetric_identity(n, r)
     for r in range(1, l_max + 1):
         for l in range(1, r + 1):
-            out.append(check_lemma25(l, r).as_dict())
-            out.append(check_lemma27(l, r).as_dict())
-            out.append(check_corollary28(l, r).as_dict())
-    for r in range(1, min(r_max, 5) + 1):
+            yield check_lemma25(l, r)
+            yield check_lemma27(l, r)
+            yield check_corollary28(l, r)
+    for r in range(1, kummer_r_max + 1):
         for b in KUMMER_DEFAULT_BS:
-            out.append(check_kummer_classical(r, parse_rational(b)).as_dict())
+            yield check_kummer_classical(r, parse_rational(b))
+
+
+def polynomial_L_verdicts(r_max: int) -> Iterator[IdentityVerdict]:
+    """L == 0 for r = 1..r_max; lhs is the sum of |coefficients|, so it holds iff L is empty."""
     for r in range(1, r_max + 1):
         poly = build_polynomial_L(r)
         residue = sum((abs(c) for c in poly.coeffs), Fraction(0))
-        out.append(
-            {
-                "identity": "L_zero_polynomial",
-                "params": {"r": r},
-                "lhs": format_rational(residue),
-                "rhs": "0",
-                "holds": poly.is_zero(),
-            }
-        )
-    return out
+        yield IdentityVerdict("L_zero_polynomial", {"r": r}, residue, Fraction(0))
+
+
+def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
+    """Every identity family at the requested ranges, as JSON-ready dicts."""
+    verdicts = itertools.chain(
+        identity_verdicts(n_max, r_max, l_max, min(r_max, KUMMER_R_MAX)),
+        polynomial_L_verdicts(r_max),
+    )
+    return [v.as_dict() for v in verdicts]
 
 
 def cmd_identities(args) -> int:
@@ -204,10 +212,7 @@ def cmd_check(args) -> int:
             "equality_condition_met": None,
         }
     elif claim == "lemma210":
-        cert = check_lemma210(args.m, args.n, args.r, parse_rational(args.width))
-        verdict = cert.as_dict()
-        if cert.min_left_of_half is False:
-            verdict["holds"] = False
+        verdict = check_lemma210(args.m, args.n, args.r, parse_rational(args.width)).as_dict()
     elif claim == "lemma31":
         triple = DegenerateTriple.from_a(parse_rational(args.a), parse_rational(args.sigma2))
         verdict = check_lemma31(args.m, args.n, triple).as_dict()
@@ -271,9 +276,9 @@ def cmd_hyp(args) -> int:
     return 0 if ok else 1
 
 
-def _diagonal_covariance(gen: SplitMix64, dim: int, q: int) -> CovarianceMatrix:
+def _diagonal_covariance(gen: SplitMix64, q: int) -> CovarianceMatrix:
     diag = []
-    for _ in range(dim):
+    for _ in range(3):
         value = 0
         while value == 0:
             value = gen.randint(-q, q)
@@ -281,8 +286,7 @@ def _diagonal_covariance(gen: SplitMix64, dim: int, q: int) -> CovarianceMatrix:
     return CovarianceMatrix.diagonal(diag)
 
 
-def _sweep_point(task: tuple[int, CovarianceMatrix, int, int]) -> list[dict]:
-    idx, cov, m_max, n_max = task
+def _sweep_point(idx: int, cov: CovarianceMatrix, m_max: int, n_max: int) -> list[dict]:
     digest = covariance_hash(cov)
     records = []
     for m in range(1, m_max + 1):
@@ -303,45 +307,17 @@ def _sweep_point(task: tuple[int, CovarianceMatrix, int, int]) -> list[dict]:
     return records
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return cap
-
-
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """Draw `count` covariances from the seed and record every theorem check.
-
-    Draws happen up front on a single stream, so the report is identical no
-    matter how many workers evaluate the checks.
-    """
+    """Draw `count` 3x3 covariances from the seed and record every theorem check."""
     gen = SplitMix64(config.seed)
-    covariances = [
-        _diagonal_covariance(gen, config.dim, config.q)
-        if config.diagonal
-        else random_covariance(gen, config.dim, config.q)
-        for _ in range(config.count)
-    ]
-    tasks = [
-        (idx, cov, config.m_max, config.n_max) for idx, cov in enumerate(covariances)
-    ]
-    workers = min(_thread_cap(), config.count)
-    if workers > 1:
-        # Imported here: it takes about 20 ms, and sweeps are sequential by default.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_sweep_point, tasks, chunksize=8))
-    else:
-        grouped = [_sweep_point(task) for task in tasks]
-    return [record for group in grouped for record in group]
+    records = []
+    for idx in range(config.count):
+        if config.diagonal:
+            cov = _diagonal_covariance(gen, config.q)
+        else:
+            cov = random_covariance(gen, 3, config.q)
+        records += _sweep_point(idx, cov, config.m_max, config.n_max)
+    return records
 
 
 SWEEP_FIELDS = ("draw", "cov_hash", "m", "n", "lhs", "rhs", "holds", "equality")
@@ -370,7 +346,6 @@ def cmd_sweep(args) -> int:
     config = SweepConfig(
         seed=args.seed,
         count=args.count,
-        dim=args.dim,
         q=args.q,
         m_max=args.m_max,
         n_max=args.n_max,
@@ -390,6 +365,107 @@ def cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     return 0 if failures == 0 else 1
+
+
+def verification_families(
+    quick: bool, seed: int, sweep_count: int
+) -> list[tuple[str, Iterator[bool]]]:
+    """Every claim family of the paper, in report order: a name and a lazy
+    stream of exact per-check verdicts.  --quick shrinks every range."""
+    n_max, r_max, l_max = (4, 4, 8) if quick else (8, 8, 20)
+    mn_max = 2 if quick else 3
+    mn = range(mn_max + 1)
+    bridge_rs = range(1, (2 if quick else 3) + 1)
+    samples = 20 if quick else 50
+    if quick:
+        sweep_count = min(sweep_count, 100)
+    half = Fraction(1, 2)
+    variances = (half, Fraction(1), Fraction(2))
+
+    def counterexample():
+        yield counterexample_wei() == (39, 43)
+
+    def grids():
+        for m in mn:
+            for n in mn:
+                for r in (1, 2):
+                    for a2 in variances:
+                        for b2 in variances:
+                            if m >= 1 and n >= 1:
+                                yield check_prop21(m, n, r, a2, b2).holds
+                            v = check_thm22(m, n, r, a2, b2)
+                            yield v.holds and v.equality == v.equality_condition_met
+                    for s in variances:
+                        for c in (Fraction(0), s / 2, -s / 2):
+                            cov2 = CovarianceMatrix.from_rows([[s, c], [c, s]])
+                            v = check_cor23(m, n, r, cov2)
+                            yield v.holds and v.equality == v.equality_condition_met
+
+    def degenerate():
+        for a in (Fraction(-1), -half, half, Fraction(1), Fraction(2)):
+            for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
+                triple = DegenerateTriple.from_a(a, sigma2)
+                for m in range(1, mn_max + 1):
+                    for n in range(1, mn_max + 1):
+                        yield check_lemma31(m, n, triple).holds
+
+    def sweep():
+        for rec in run_sweep(SweepConfig(seed=seed, count=sweep_count, q=4)):
+            yield rec["holds"]
+        for rec in run_sweep(SweepConfig(seed=seed + 1, count=25, q=4, diagonal=True)):
+            yield rec["equality"]
+
+    return [
+        ("counterexample (39 < 43)", counterexample()),
+        (
+            "combinatorial identities",
+            (v.holds for v in identity_verdicts(n_max, r_max, l_max, KUMMER_R_MAX)),
+        ),
+        ("auxiliary polynomial L == 0", (v.holds for v in polynomial_L_verdicts(r_max))),
+        (
+            "moment/hypergeometric bridge",
+            (cross_check_lemma29(m, n, r) for m in mn for n in mn for r in bridge_rs),
+        ),
+        (
+            "H positivity and convexity witnesses",
+            (
+                v.holds
+                for r in bridge_rs
+                for n in mn
+                for m in mn
+                if m >= n
+                for v in check_H_positivity(m, n, r, sample_count=samples)
+            ),
+        ),
+        (
+            "stationary-point certificates (B_{m+1} vs B_m)",
+            (check_lemma210(m, n, r).holds for r in (1, 2) for n in mn for m in mn if m >= n),
+        ),
+        ("independent-pair inequality grids", grids()),
+        ("degenerate triples strict", degenerate()),
+        ("randomized theorem sweep", sweep()),
+    ]
+
+
+def cmd_verify(args) -> int:
+    failed_families = 0
+    for name, checks in verification_families(args.quick, args.seed, args.sweep_count):
+        start = time.perf_counter()
+        total = failed = 0
+        for holds in checks:
+            total += 1
+            failed += not holds
+        elapsed = time.perf_counter() - start
+        if failed:
+            print(f"FAIL {name}: {failed} of {total} exact checks failed")
+            failed_families += 1
+        else:
+            print(f"ok   {name}: {total} exact checks in {elapsed:.2f}s")
+    if failed_families:
+        print(f"{failed_families} famil{'y' if failed_families == 1 else 'ies'} FAILED")
+        return 1
+    print("all claim families verified exactly")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="seeded randomized covariance sweep of thm32")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--dim", type=int, default=3)
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--n-max", type=int, default=2)
@@ -472,6 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="reproduce the split-product failure (39 < 43)")
     p.set_defaults(func=cmd_counterexample)
 
+    p = sub.add_parser("verify", help="run every claim family, one summary line each")
+    p.add_argument("--seed", type=int, default=20260810, help="seed of the randomized sweep")
+    p.add_argument("--sweep-count", type=int, default=1000)
+    p.add_argument("--quick", action="store_true", help="shrink every range")
+    p.set_defaults(func=cmd_verify)
+
     return parser
 
 
@@ -486,6 +567,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"gpi-lab: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"gpi-lab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -151,13 +151,16 @@ def isolate_root(
 ) -> tuple[Fraction, Fraction]:
     """Shrink [lo, hi] around a sign change of p to an interval of at most `width`.
 
-    Requires p(lo) and p(hi) to have opposite signs (SameSignError otherwise);
+    Requires width > 0 (ValueError otherwise, since bisection would never stop)
+    and p(lo), p(hi) of opposite signs (SameSignError otherwise);
     an endpoint that is already a root yields the degenerate interval at that
     endpoint.  All sign decisions are exact rational comparisons.
     """
     lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if width <= 0:
+        raise ValueError(f"need width > 0, got {width}")
     f_lo = p(lo)
     if f_lo == 0:
         return (lo, lo)

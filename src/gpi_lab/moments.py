@@ -191,14 +191,6 @@ class CovarianceMatrix:
         )
 
 
-def exponents_from_json(obj: Mapping) -> Exponents:
-    return validate_exponents(obj["exponents"])
-
-
-def exponents_to_json(exponents: Sequence[int]) -> dict:
-    return {"exponents": [int(k) for k in exponents]}
-
-
 def validate_exponents(exponents: Sequence[int]) -> Exponents:
     ks = tuple(int(k) for k in exponents)
     if any(k < 0 for k in ks):

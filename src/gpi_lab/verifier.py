@@ -173,6 +173,11 @@ class StationaryPointCertificate:
             return None
         return self.derivative_at_half > 0
 
+    @property
+    def holds(self) -> bool:
+        """The values agree and, for m = n, the minimum lies left of 1/2."""
+        return self.stationary_values_agree and self.min_left_of_half is not False
+
     def as_dict(self) -> dict:
         return {
             "claim": "lemma_stationary_match",
@@ -180,7 +185,7 @@ class StationaryPointCertificate:
             "bracket": [format_rational(x) for x in self.bracket],
             "diff_lo": format_rational(self.diff_lo),
             "diff_hi": format_rational(self.diff_hi),
-            "holds": self.stationary_values_agree,
+            "holds": self.holds,
             "derivative_at_half": _fmt(self.derivative_at_half),
             "min_left_of_half": self.min_left_of_half,
         }

@@ -6,14 +6,16 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gpi_lab import cli
-from gpi_lab.cli import SweepConfig, covariance_hash, main, run_sweep
+from gpi_lab.cli import covariance_hash, main
 from gpi_lab.moments import CovarianceMatrix
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
@@ -39,6 +41,21 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this gpi_lab; a hang fails the test."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def assert_one_line_error(proc: subprocess.CompletedProcess, code: int, prefix: str) -> None:
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestCounterexample:
@@ -257,7 +274,7 @@ class TestHyp:
 class TestSweep:
     def test_records_hold_and_summary(self, capsys):
         code, out, err = run_cli(
-            capsys, "sweep", "--seed", "7", "--count", "10", "--dim", "3", "--q", "3",
+            capsys, "sweep", "--seed", "7", "--count", "10", "--q", "3",
             "--m-max", "2", "--n-max", "2",
         )
         assert code == 0
@@ -305,26 +322,13 @@ class TestSweep:
                 else:
                     assert cell == str(value)
 
-    def test_threaded_sweep_matches_sequential(self, monkeypatch):
-        config = SweepConfig(seed=19, count=4, q=3, m_max=1, n_max=1)
-        sequential = run_sweep(config)
-        monkeypatch.setenv(cli.THREADS_ENV, "2")
-        assert run_sweep(config) == sequential
-
     def test_import_leaves_process_pool_unloaded(self):
-        # Sequential sweeps are the default; the pool is imported on first use.
+        # Sweeps run in this process; importing the CLI loads no process pool.
         probe = (
             "import sys, gpi_lab.cli; "
             "sys.exit('concurrent.futures.process' in sys.modules)"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
-
-    def test_invalid_thread_cap_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "zero")
-        code, _, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "1")
-        assert code == 2
-        assert cli.THREADS_ENV in err
+        assert run_python(["-c", probe]).returncode == 0
 
     def test_zero_count_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "0")
@@ -335,6 +339,79 @@ class TestSweep:
         cov = CovarianceMatrix.from_json(WEI_JSON)
         assert covariance_hash(cov) == covariance_hash(CovarianceMatrix.from_json(WEI_JSON))
         assert len(covariance_hash(cov)) == 16
+
+
+VERIFY_QUICK_COUNTS = [
+    ("counterexample (39 < 43)", 1),
+    ("combinatorial identities", 148),
+    ("auxiliary polynomial L == 0", 4),
+    ("moment/hypergeometric bridge", 18),
+    ("H positivity and convexity witnesses", 486),
+    ("stationary-point certificates (B_{m+1} vs B_m)", 12),
+    ("independent-pair inequality grids", 396),
+    ("degenerate triples strict", 60),
+    ("randomized theorem sweep", 500),
+]
+
+FAMILY_LINE = re.compile(r"ok   (.+): (\d+) exact checks in \d+\.\d\ds")
+
+
+class TestVerify:
+    def test_quick_run_verifies_every_family(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--quick")
+        assert code == 0
+        *family_lines, last = out.splitlines()
+        counts = []
+        for line in family_lines:
+            match = FAMILY_LINE.fullmatch(line)
+            assert match, line
+            counts.append((match[1], int(match[2])))
+        assert counts == VERIFY_QUICK_COUNTS
+        assert last == "all claim families verified exactly"
+        assert err == ""
+
+    def test_sweep_count_and_seed_reach_the_sweep(self, capsys, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or [])
+        code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "5", "--sweep-count", "7")
+        assert code == 0
+        assert [(c.seed, c.count, c.diagonal) for c in configs] == [(5, 7, False), (6, 25, True)]
+        assert "ok   randomized theorem sweep: 0 exact checks" in out
+
+    def test_false_verdict_fails_exactly_its_family(self, capsys, monkeypatch):
+        real = cli.cross_check_lemma29
+        monkeypatch.setattr(
+            cli, "cross_check_lemma29", lambda m, n, r: (m, n, r) != (1, 2, 1) and real(m, n, r)
+        )
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[3] == "FAIL moment/hypergeometric bridge: 1 of 18 exact checks failed"
+        others = lines[:3] + lines[4:9]
+        assert [FAMILY_LINE.fullmatch(line)[1] for line in others] == [
+            name for name, _ in VERIFY_QUICK_COUNTS if name != "moment/hypergeometric bridge"
+        ]
+        assert lines[9:] == ["1 family FAILED"]
+
+    def test_failure_survives_optimized_mode(self):
+        # -O strips assert statements; verdicts must not depend on them.
+        probe = (
+            "import sys; import gpi_lab.cli as cli; "
+            "sys.flags.optimize or sys.exit(99); "
+            "cli.check_lemma27 = lambda l, r: cli.IdentityVerdict('x', {}, 0, 1); "
+            "sys.exit(cli.main(['verify', '--quick']))"
+        )
+        proc = run_python(["-O", "-c", probe])
+        assert proc.returncode == 1, proc.stderr
+        assert "FAIL combinatorial identities: 36 of 148 exact checks failed\n" in proc.stdout
+        assert proc.stdout.endswith("1 family FAILED\n")
+
+    def test_script_is_a_shim_for_verify(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
+        proc = run_python([str(script), "--quick", "--sweep-count", "3"])
+        assert proc.returncode == 0, proc.stderr
+        assert "ok   randomized theorem sweep: 112 exact checks" in proc.stdout
+        assert proc.stdout.endswith("all claim families verified exactly\n")
 
 
 class TestUsage:
@@ -353,15 +430,24 @@ class TestUsage:
         ids=["check", "hyp"],
     )
     def test_zero_denominator_is_usage_error(self, argv):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gpi_lab", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("gpi-lab: error:")
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        assert_one_line_error(run_python(["-m", "gpi_lab", *argv]), 2, "gpi-lab: error:")
+
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_nonpositive_lemma210_width_is_usage_error(self, width):
+        # Before the check, bisection to a width <= 0 never returned.
+        argv = ["check", "--claim", "lemma210", "--m", "1", "--n", "1", "--r", "2"]
+        proc = run_python(["-m", "gpi_lab", *argv, f"--width={width}"])
+        assert_one_line_error(proc, 2, "gpi-lab: error: need width > 0")
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "counterexample_wei", broken)
+        for argv in (["counterexample"], ["verify", "--quick"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert err == "gpi-lab: internal error: RuntimeError: boom\n"
 
     def test_bad_exponent_list(self, capsys, wei_cov_file):
         code, _, err = run_cli(capsys, "moment", "--cov", wei_cov_file, "--exps", "2,x,2")

@@ -193,6 +193,12 @@ class TestIsolateRoot:
         with pytest.raises(SameSignError):
             isolate_root(Polynomial([1, 0, 1]), 0, 1, Fraction(1, 4))
 
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)])
+    def test_nonpositive_width_rejected(self, width):
+        # bisection while hi - lo > width would never stop
+        with pytest.raises(ValueError, match="width"):
+            isolate_root(Polynomial([-1, 0, 4]), 0, 1, width)
+
     def test_zero_endpoint_degenerates(self):
         p = Polynomial([0, 1])  # root at 0
         assert isolate_root(p, 0, 1, Fraction(1, 8)) == (0, 0)

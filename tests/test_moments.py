@@ -22,8 +22,6 @@ from gpi_lab import (
     InvalidCovarianceError,
     NotSymmetricError,
     SplitMix64,
-    exponents_from_json,
-    exponents_to_json,
     gaussian_moment,
     is_psd,
     random_covariance,
@@ -395,7 +393,3 @@ class TestJsonInterfaces:
     def test_non_psd_rejected_at_construction(self):
         with pytest.raises(InvalidCovarianceError):
             CovarianceMatrix.from_rows([[1, 2], [2, 1]])
-
-    def test_exponent_roundtrip(self):
-        assert exponents_from_json({"exponents": [2, 0, 4]}) == (2, 0, 4)
-        assert exponents_to_json((2, 0, 4)) == {"exponents": [2, 0, 4]}

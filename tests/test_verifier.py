@@ -3,6 +3,7 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -175,6 +176,16 @@ class TestLemma210:
         cert = check_lemma210(2, 1, 1)
         assert cert.derivative_at_half is None
         assert cert.min_left_of_half is None
+        assert cert.holds
+
+    def test_holds_needs_the_minimum_left_of_half(self):
+        cert = check_lemma210(1, 1, 2)
+        assert cert.holds and cert.as_dict()["holds"] is True
+        for derivative in (Fraction(0), Fraction(-1)):
+            flipped = dataclasses.replace(cert, derivative_at_half=derivative)
+            assert flipped.stationary_values_agree
+            assert not flipped.holds
+            assert flipped.as_dict()["holds"] is False
 
     def test_grid_certificates(self):
         width = Fraction(1, 2**20)
