@@ -419,7 +419,10 @@ def verification_families(
         ("counterexample (39 < 43)", counterexample()),
         (
             "combinatorial identities",
-            (v.holds for v in identity_verdicts(n_max, r_max, l_max, KUMMER_R_MAX)),
+            (
+                v.holds
+                for v in identity_verdicts(n_max, r_max, l_max, min(r_max, KUMMER_R_MAX))
+            ),
         ),
         ("auxiliary polynomial L == 0", (v.holds for v in polynomial_L_verdicts(r_max))),
         (

@@ -40,7 +40,7 @@ def parse_rational(text: Scalar) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
 
 
 def _integer_coeffs(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:

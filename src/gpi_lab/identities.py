@@ -48,6 +48,12 @@ def _require_l_le_r(l: int, r: int) -> None:
         raise OutOfRangeError(f"need 1 <= l <= r, got l={l}, r={r}")
 
 
+def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """sum of num/den over integer (num, den) terms: integers over the lcm, one reduction."""
+    den = math.lcm(*[d for _, d in terms])
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
 def check_symmetric_identity(n: int, r: int) -> IdentityVerdict:
     """Alternating Pochhammer sum against its closed product form.
 
@@ -77,12 +83,8 @@ def check_lemma25(l: int, r: int) -> IdentityVerdict:
         sum_{i=0}^{l-1} C(2r,i) C(l-1,i) / C(2r-l,i)  =  (2r)! / (2 r! r! C(2r-l,r))
     """
     _require_l_le_r(l, r)
-    lhs = sum(
-        (
-            Fraction(math.comb(2 * r, i) * math.comb(l - 1, i), math.comb(2 * r - l, i))
-            for i in range(l)
-        ),
-        Fraction(0),
+    lhs = _ratio_sum(
+        [(math.comb(2 * r, i) * math.comb(l - 1, i), math.comb(2 * r - l, i)) for i in range(l)]
     )
     rhs = Fraction(
         math.factorial(2 * r),
@@ -114,10 +116,7 @@ def check_corollary28(l: int, r: int) -> IdentityVerdict:
         sum_{i=0}^{l-1} C(l-1,i) / C(2r-i,l)  =  1 / (2 C(r,l))
     """
     _require_l_le_r(l, r)
-    lhs = sum(
-        (Fraction(math.comb(l - 1, i), math.comb(2 * r - i, l)) for i in range(l)),
-        Fraction(0),
-    )
+    lhs = _ratio_sum([(math.comb(l - 1, i), math.comb(2 * r - i, l)) for i in range(l)])
     rhs = Fraction(1, 2 * math.comb(r, l))
     return IdentityVerdict("corollary28_sum", {"l": l, "r": r}, lhs, rhs)
 

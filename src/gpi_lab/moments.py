@@ -2,24 +2,27 @@
 
 The central operation is the closed pairing-count sum (the multinomial
 pairing expansion of Genest & Ouimet, 2022) evaluated in integer arithmetic:
-the covariance is scaled once to an integer matrix over the least common
-denominator of its entries, every pairing count is summed as a Python int, and
-a single division at the end gives the rational moment.  Nothing recurses on
-the degree.  The scaled matrix and its lazily extended power tables are kept
-for the most recent covariance only, so the consecutive calls a sweep makes on
-one draw share them while memory stays flat.  Covariance validity (exact
-symmetry and positive semidefiniteness) is certified at construction time with
-a fraction-free elimination; no floating point is involved anywhere.
+each covariance is scaled once, at construction, to an integer matrix over the
+least common denominator of its entries, every pairing count is summed as a
+Python int, and a single division at the end gives the rational moment.
+Nothing recurses on the degree.  The power tables live on each covariance,
+created at its first moment and extended lazily, so every call on one draw
+shares them and they are freed with the draw.  Covariance validity (exact
+symmetry and positive semidefiniteness) is certified at construction time by
+fraction-free (Bareiss) elimination on the scaled integer matrix; no floating
+point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import Scalar, SplitMix64, format_rational, parse_rational
+from .specialfn import double_factorial_odd
 
 
 class NotSymmetricError(ValueError):
@@ -81,61 +84,102 @@ class PsdCertificate:
         return self.psd
 
 
-def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
-    """Exact PSD decision for a symmetric rational matrix.
+def _integer_form(
+    rows: Sequence[Sequence[Fraction | int]],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least common denominator D of the entries and the integer matrix D * rows."""
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
-    Fraction-free in spirit: symmetric elimination over rationals, skipping
-    zero pivots whose Schur-complement row has already vanished.  A negative
-    pivot, or a zero pivot with a nonzero off-diagonal remainder, pins down a
-    negative principal minor that is returned as the certificate.
+
+def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Indices of a principal submatrix with a negative determinant, or None if PSD.
+
+    Fraction-free symmetric elimination (Bareiss, 1968) on the upper triangle:
+    after the pivots P are eliminated, entry (i, j) is the minor of rows P+i
+    and columns P+j, and `prev` is the minor on P, which is positive.  So every
+    entry has the sign of the rational Schur complement, and each division is
+    exact.  A zero pivot whose remaining row has vanished is skipped; a
+    negative pivot, or a zero pivot with a nonzero entry to its right, names
+    the negative minor.
     """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in a):
+    n = len(scaled)
+    if any(len(row) != n for row in scaled):
         raise NotSymmetricError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+            if scaled[i][j] != scaled[j][i]:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
 
+    a = [list(row) for row in scaled]
     eliminated: list[int] = []
+    prev = 1
     for k in range(n):
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
         if pivot < 0:
-            idx = tuple(eliminated + [k])
-            return PsdCertificate(False, idx, principal_minor(rows, idx))
+            return (*eliminated, k)
         if pivot == 0:
             for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    idx = tuple(eliminated + [k, j])
-                    return PsdCertificate(False, idx, principal_minor(rows, idx))
+                if row_k[j] != 0:
+                    return (*eliminated, k, j)
             continue
         eliminated.append(k)
         for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= factor * a[k][j]
-    return PsdCertificate(True)
+            row_i, a_ki = a[i], row_k[i]
+            for j in range(i, n):
+                row_i[j] = (pivot * row_i[j] - a_ki * row_k[j]) // prev
+        prev = pivot
+    return None
+
+
+def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
+    """Exact PSD decision for a symmetric rational matrix.
+
+    The matrix is scaled to integers over a common denominator, which keeps the
+    sign of every principal minor, and eliminated fraction-free in Python ints.
+    A failing certificate carries the negative minor of `rows` itself.
+    """
+    _, scaled = _integer_form(
+        [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    )
+    indices = _negative_minor(scaled)
+    if indices is None:
+        return PsdCertificate(True)
+    return PsdCertificate(False, indices, principal_minor(rows, indices))
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
-    Construction certifies symmetry and positive semidefiniteness exactly;
-    singular (rank-deficient) matrices are deliberately allowed.
+    Construction scales the entries once to the integer matrix `scaled` over
+    their least common denominator `denominator`, and certifies symmetry and
+    positive semidefiniteness on it exactly; singular (rank-deficient)
+    matrices are deliberately allowed.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cert = is_psd(self.entries)
+        den, scaled = _integer_form(self.entries)
+        # is_psd scales an integer matrix by the identity, so this stays one scaling.
+        cert = is_psd(scaled)
         if not cert:
             raise InvalidCovarianceError(
-                f"not PSD: principal minor on rows {cert.indices} is {cert.minor}"
+                f"not PSD: principal minor on rows {cert.indices} is "
+                f"{principal_minor(self.entries, cert.indices)}"
             )
+        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "scaled", scaled)
+
+    @cached_property
+    def _tables(self) -> "_PairingTables":
+        # Created on the first moment; a racing first access only builds an
+        # equal table, and the tables hold no reference back to the matrix.
+        return _PairingTables(self.denominator, self.scaled)
 
     @property
     def dim(self) -> int:
@@ -143,7 +187,9 @@ class CovarianceMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Scalar]]) -> "CovarianceMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(
+            tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
+        )
 
     @classmethod
     def diagonal(cls, variances: Iterable[Scalar]) -> "CovarianceMatrix":
@@ -199,26 +245,23 @@ def validate_exponents(exponents: Sequence[int]) -> Exponents:
 
 
 class _PairingTables:
-    """One covariance in integer form, with power tables grown on demand.
+    """A covariance's integer form, with power tables grown on demand.
 
-    `scaled` is S = D * cov for the least common denominator D of the entries.
-    For i < j, `_cross[i][j][l]` is l! S_ij^l; `_self[c][h]` is
-    (2h-1)!! S_cc^h, the number of ways to pair the 2h factors of coordinate c
-    left over after its cross pairs among themselves, times their weight.
+    `scaled` is S = D * cov for the least common denominator D of the entries,
+    both taken from the covariance that holds these tables.  For i < j,
+    `_cross[i][j][l]` is l! S_ij^l; `_self[c][h]` is (2h-1)!! S_cc^h, the
+    number of ways to pair the 2h factors of coordinate c left over after its
+    cross pairs among themselves, times their weight.
     Tables are tuples replaced whole when they grow, so a reader never sees
     one half extended.
     """
 
-    __slots__ = ("cov", "denominator", "scaled", "_cross", "_self")
+    __slots__ = ("denominator", "scaled", "_cross", "_self")
 
-    def __init__(self, cov: CovarianceMatrix):
-        self.cov = cov
-        self.denominator = math.lcm(*(x.denominator for row in cov.entries for x in row))
-        self.scaled = [
-            [x.numerator * (self.denominator // x.denominator) for x in row]
-            for row in cov.entries
-        ]
-        d = cov.dim
+    def __init__(self, denominator: int, scaled: tuple[tuple[int, ...], ...]):
+        self.denominator = denominator
+        self.scaled = scaled
+        d = len(scaled)
         self._cross = [[(1,)] * d for _ in range(d)]
         self._self = [(1,)] * d
 
@@ -259,7 +302,7 @@ class _PairingTables:
                 if k[c] % 2:
                     return Fraction(0)
                 h = k[c] // 2
-                base *= math.factorial(2 * h) // (math.factorial(h) << h) * scaled[c][c] ** h
+                base *= double_factorial_odd(h) * scaled[c][c] ** h
         scale = self.denominator ** (sum(k) // 2)
         if not pairs:
             return Fraction(base, scale)
@@ -319,22 +362,6 @@ class _PairingTables:
         return Fraction(total, scale)
 
 
-# Tables of the most recent covariance.  A single entry: a sweep makes all its
-# calls on one draw before moving to the next, and run_sweep keeps every draw
-# alive, so tables attached to each covariance would only grow the process.
-# Matched by identity first, then equality, because hashing a covariance hashes
-# every Fraction entry, which costs a sizeable share of a low-degree moment.
-_recent_tables: _PairingTables | None = None
-
-
-def _tables(cov: CovarianceMatrix) -> _PairingTables:
-    global _recent_tables
-    tables = _recent_tables
-    if tables is None or (tables.cov is not cov and tables.cov != cov):
-        tables = _recent_tables = _PairingTables(cov)
-    return tables
-
-
 def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
     """E[prod X_i^{k_i}] for a centered Gaussian vector with the given covariance.
 
@@ -354,20 +381,18 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
         raise DimensionMismatchError(f"{len(k)} exponents for a {cov.dim}x{cov.dim} covariance")
     if sum(k) % 2 == 1:
         return Fraction(0)
-    return _tables(cov).moment(k)
+    return cov._tables.moment(k)
 
 
 def univariate_even_moment(variance: Scalar, m: int) -> Fraction:
     """(2m-1)!! * variance^m, the even moment of a centered Gaussian scalar."""
-    variance = Fraction(variance)
+    if not isinstance(variance, (int, Fraction)):
+        variance = Fraction(variance)
     if variance < 0:
         raise InvalidCovarianceError(f"variance must be >= 0, got {variance}")
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    acc = Fraction(1)
-    for i in range(1, m + 1):
-        acc *= 2 * i - 1
-    return acc * variance**m
+    return Fraction(double_factorial_odd(m) * variance.numerator**m, variance.denominator**m)
 
 
 def random_covariance(gen: SplitMix64, d: int, q: int) -> CovarianceMatrix:
@@ -380,9 +405,6 @@ def random_covariance(gen: SplitMix64, d: int, q: int) -> CovarianceMatrix:
         raise ValueError(f"need d >= 1 and q >= 1, got d={d}, q={q}")
     while True:
         a = [[gen.randint(-q, q) for _ in range(d)] for _ in range(d)]
-        gram = [
-            [Fraction(sum(a[i][t] * a[j][t] for t in range(d))) for j in range(d)]
-            for i in range(d)
-        ]
+        gram = [[sum(a[i][t] * a[j][t] for t in range(d)) for j in range(d)] for i in range(d)]
         if all(gram[i][i] != 0 for i in range(d)):
             return CovarianceMatrix.from_rows(gram)

@@ -19,6 +19,10 @@ from gpi_lab.cli import covariance_hash, main
 from gpi_lab.moments import CovarianceMatrix
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
+# `sweep --seed 7 --count 1000 --q 4` on stdout, and
+# `sweep --seed 7 --count 10 --m-max 6 --n-max 6 --format csv --out FILE`.
+SWEEP_LIGHT_SHA256 = "a0e311b97a5e3e2613ee0d489878b354f948c82dff6cb3550ad6c4958d76584f"
+SWEEP_HEAVY_CSV_SHA256 = "d8a556d407dd8074d2e911679d5fbff89a58b14d91e8d4b2046537bd197d0101"
 
 WEI_JSON = {"dim": 3, "entries": [["1", "1", "1"], ["1", "5", "-3"], ["1", "-3", "5"]]}
 
@@ -322,6 +326,21 @@ class TestSweep:
                 else:
                     assert cell == str(value)
 
+    def test_light_report_bytes_are_pinned(self, capsys):
+        # A speed-up that changes any report byte is a bug.
+        code, out, _ = run_cli(capsys, "sweep", "--seed", "7", "--count", "1000", "--q", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_LIGHT_SHA256
+
+    def test_heavy_csv_bytes_are_pinned(self, tmp_path, capsys):
+        path = tmp_path / "heavy.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--seed", "7", "--count", "10", "--m-max", "6", "--n-max", "6",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_HEAVY_CSV_SHA256
+
     def test_import_leaves_process_pool_unloaded(self):
         # Sweeps run in this process; importing the CLI loads no process pool.
         probe = (
@@ -343,7 +362,7 @@ class TestSweep:
 
 VERIFY_QUICK_COUNTS = [
     ("counterexample (39 < 43)", 1),
-    ("combinatorial identities", 148),
+    ("combinatorial identities", 144),
     ("auxiliary polynomial L == 0", 4),
     ("moment/hypergeometric bridge", 18),
     ("H positivity and convexity witnesses", 486),
@@ -403,7 +422,7 @@ class TestVerify:
         )
         proc = run_python(["-O", "-c", probe])
         assert proc.returncode == 1, proc.stderr
-        assert "FAIL combinatorial identities: 36 of 148 exact checks failed\n" in proc.stdout
+        assert "FAIL combinatorial identities: 36 of 144 exact checks failed\n" in proc.stdout
         assert proc.stdout.endswith("1 family FAILED\n")
 
     def test_script_is_a_shim_for_verify(self):

@@ -78,6 +78,20 @@ class TestLemma25:
             for l in range(1, r + 1):
                 assert check_lemma25(l, r).holds, (l, r)
 
+    def test_integer_sum_matches_per_term_fractions(self):
+        # The left side sums integers over the lcm of the denominators; the
+        # old route adds one reduced Fraction per term.
+        for r in range(1, 41):
+            for l in range(1, r + 1):
+                per_term = sum(
+                    (
+                        Fraction(math.comb(2 * r, i) * math.comb(l - 1, i), math.comb(2 * r - l, i))
+                        for i in range(l)
+                    ),
+                    Fraction(0),
+                )
+                assert check_lemma25(l, r).lhs == per_term, (l, r)
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             check_lemma25(3, 2)
@@ -122,6 +136,15 @@ class TestCorollary28:
         for r in range(1, 21):
             for l in range(1, r + 1):
                 assert check_corollary28(l, r).holds, (l, r)
+
+    def test_integer_sum_matches_per_term_fractions(self):
+        for r in range(1, 41):
+            for l in range(1, r + 1):
+                per_term = sum(
+                    (Fraction(math.comb(l - 1, i), math.comb(2 * r - i, l)) for i in range(l)),
+                    Fraction(0),
+                )
+                assert check_corollary28(l, r).lhs == per_term, (l, r)
 
 
 class TestKummerClassical:

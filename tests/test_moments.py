@@ -7,9 +7,11 @@ agree with it, with the Wick recursion and with Kan's formula everywhere.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from gpi_lab import (
     random_covariance,
     univariate_even_moment,
 )
+from gpi_lab import moments
 from gpi_lab._pairing import pairing_moment, wick_moment
 from gpi_lab.moments import principal_minor
 
@@ -234,6 +237,45 @@ class TestIndependentRoutes:
         assert gaussian_moment(CovarianceMatrix(a.entries), (6, 4, 2)) == wick_moment(a, (6, 4, 2))
 
 
+class TestTablesPerCovariance:
+    """Each covariance carries its own integer form and power tables."""
+
+    def test_interleaved_covariances_keep_their_own_tables(self):
+        a = CovarianceMatrix.from_rows([[5, 2, -1], [2, 3, 1], [-1, 1, 2]])
+        b = CovarianceMatrix.from_rows([["1/2", "1/4", 0], ["1/4", 1, "1/3"], [0, "1/3", 3]])
+        assert (a.denominator, a.scaled) == (1, ((5, 2, -1), (2, 3, 1), (-1, 1, 2)))
+        assert (b.denominator, b.scaled) == (12, ((6, 3, 0), (3, 12, 4), (0, 4, 36)))
+        gaussian_moment(a, (2, 2, 2))
+        tables_a = a._tables
+        for m in (1, 3, 2):
+            for cov in (a, b):
+                ks = (2 * m, 2 * m, 2)
+                assert gaussian_moment(cov, ks) == wick_moment(cov, ks), (cov, ks)
+        assert a._tables is tables_a
+        assert b._tables is not tables_a
+        assert (b._tables.denominator, b._tables.scaled) == (b.denominator, b.scaled)
+
+    def test_only_the_covariance_holds_its_tables(self):
+        # No module-level cache: the covariance's own __dict__ is the one referrer.
+        cov = CovarianceMatrix.from_rows([[2, 1], [1, 2]])
+        gaussian_moment(cov, (4, 2))
+        assert gc.get_referrers(cov._tables) == [vars(cov)]
+        assert not hasattr(moments, "_recent_tables")
+
+    def test_draw_is_freed_by_refcounting(self):
+        # The tables point at no covariance, so dropping the last reference to
+        # a draw frees it without waiting for the cycle collector.
+        cov = random_covariance(SplitMix64(3), 3, 4)
+        gaussian_moment(cov, (4, 4, 2))
+        ref = weakref.ref(cov)
+        gc.disable()
+        try:
+            del cov
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestUnivariateEvenMoment:
     def test_standard_fourth(self):
         assert univariate_even_moment(1, 2) == 3
@@ -286,6 +328,21 @@ class TestUnivariateEvenMoment:
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidCovarianceError):
             univariate_even_moment(-1, 1)
+
+    def test_matches_engine_and_running_product(self):
+        variances = [0, 1, 3, Fraction(2, 7), Fraction(9, 4), "5/3", "0/4", "12/8"]
+        for variance in variances:
+            cov = CovarianceMatrix.from_rows([[variance]])
+            for m in range(61):
+                running = Fraction(1)
+                for i in range(1, m + 1):
+                    running *= 2 * i - 1
+                running *= Fraction(variance) ** m
+                value = univariate_even_moment(variance, m)
+                assert value == running, (variance, m)
+                assert value == gaussian_moment(cov, (2 * m,)), (variance, m)
+        with pytest.raises(ValueError):
+            univariate_even_moment(1, -1)
 
 
 class TestIsPsd:
@@ -348,6 +405,77 @@ class TestIsPsd:
         subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
         expected = all(principal_minor(matrix, idx) >= 0 for idx in subsets)
         assert bool(is_psd(matrix)) == expected, matrix
+
+
+def _symmetric(rng: random.Random, d: int, kind: str) -> list[list[Fraction]]:
+    """A seeded rational d x d symmetric matrix of the given kind."""
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    if kind == "indefinite":
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = rational()
+        return rows
+    # Gram matrices A A^T: PSD, and singular when A has fewer columns than rows.
+    width = d if kind == "psd" else rng.randint(1, d - 1)
+    a = [[rational() for _ in range(width)] for _ in range(d)]
+    rows = [[sum(a[i][t] * a[j][t] for t in range(width)) for j in range(d)] for i in range(d)]
+    if kind.startswith("zero_line"):
+        # Zeroing a row and its column keeps PSD and makes a zero pivot that
+        # elimination skips; lowering the last variance then may break PSD.
+        z = rng.randrange(d - 1)
+        for i in range(d):
+            rows[i][z] = rows[z][i] = Fraction(0)
+        if kind == "zero_line_lowered":
+            rows[d - 1][d - 1] -= rng.randint(1, 20)
+    return rows
+
+
+class TestPsdAgainstSylvester:
+    """Fraction-free elimination against Sylvester's criterion on every
+    principal minor, computed by fraction Gaussian elimination."""
+
+    KINDS = ("psd", "singular", "zero_line", "zero_line_lowered", "indefinite")
+
+    def test_seeded_rational_matrices(self):
+        rng = random.Random(19680101)
+        seen = {True: 0, False: 0}
+        for d in (3, 4):
+            for kind in self.KINDS:
+                for _ in range(40):
+                    rows = _symmetric(rng, d, kind)
+                    expected = all(
+                        principal_minor(rows, idx) >= 0
+                        for size in range(1, d + 1)
+                        for idx in itertools.combinations(range(d), size)
+                    )
+                    if kind in ("psd", "singular", "zero_line"):
+                        assert expected, rows
+                    cert = is_psd(rows)
+                    assert bool(cert) == expected, rows
+                    seen[expected] += 1
+                    if expected:
+                        cov = CovarianceMatrix.from_rows(rows)
+                        assert cov.entries == tuple(tuple(row) for row in rows)
+                        continue
+                    assert cert.minor < 0
+                    assert cert.minor == principal_minor(rows, cert.indices)
+                    with pytest.raises(InvalidCovarianceError) as info:
+                        CovarianceMatrix.from_rows(rows)
+                    assert str(info.value) == (
+                        f"not PSD: principal minor on rows {cert.indices} is {cert.minor}"
+                    )
+        assert seen[True] >= 240 and seen[False] >= 60
+
+    def test_string_and_mixed_entries(self):
+        cert = is_psd([["1/2", 1], [1, "1/3"]])
+        assert not cert
+        assert cert.indices == (0, 1)
+        assert cert.minor == Fraction(1, 6) - 1
+        assert is_psd([["1/2", Fraction(1, 4)], [Fraction(1, 4), 2]])
 
 
 class TestRandomCovariance:
