@@ -38,10 +38,8 @@ from .specialfn import (
     contiguous_check,
     double_factorial_odd,
     half_binomial,
-    hyp2f1_poly,
     hyp2f1_terminating,
     pfaff_check,
-    pfaff_instance,
     pochhammer,
 )
 from .verifier import (
@@ -50,7 +48,6 @@ from .verifier import (
     InequalityVerdict,
     InvalidTripleError,
     NoSignChangeError,
-    RegressionSplit,
     StationaryPointCertificate,
     UnequalVariancesError,
     build_gamma_polynomials,
@@ -59,6 +56,7 @@ from .verifier import (
     check_lemma210,
     check_lemma31,
     check_main,
+    check_min_C,
     check_prop21,
     check_thm22,
     check_thm32,
@@ -67,8 +65,6 @@ from .verifier import (
     default_bridge_gammas,
     hypergeometric_G,
     interior_gammas,
-    min_C,
-    regression_split,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 `pairing_moment` enumerates every perfect matching of the multiset of factors
 and sums the covariance products; `wick_moment` runs the Isserlis/Wick
-recursion over Fractions.  Neither shares code or arithmetic with
+recursion over Fractions.  Both validate their input with the engine's own
+`moments.validate_exponents`, and neither shares any arithmetic with
 `moments.gaussian_moment`.  Both are slow and deliberately kept out of the
 public API: the test suite uses both, the CLI's --oracle flag uses
 `pairing_moment`.
@@ -13,18 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .moments import CovarianceMatrix, DimensionMismatchError, Exponents, validate_exponents
-
-
-def _checked(cov: CovarianceMatrix, exponents: Sequence[int]) -> Exponents:
-    k = validate_exponents(exponents)
-    if len(k) != cov.dim:
-        raise DimensionMismatchError(f"{len(k)} exponents for a {cov.dim}x{cov.dim} covariance")
-    return k
+from .moments import CovarianceMatrix, Exponents, validate_exponents
 
 
 def pairing_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
-    k = _checked(cov, exponents)
+    k = validate_exponents(cov, exponents)
     factors: list[int] = []
     for coord, count in enumerate(k):
         factors.extend([coord] * count)
@@ -53,7 +47,7 @@ def wick_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
     memoized on the exponent tuple within this call.  It recurses once per
     pair of factors, so the total degree is bounded by the recursion limit.
     """
-    k = _checked(cov, exponents)
+    k = validate_exponents(cov, exponents)
     if sum(k) % 2 == 1:
         return Fraction(0)
     entries = cov.entries

@@ -69,15 +69,13 @@ class SweepConfig:
     q: int = 3
     m_max: int = 2
     n_max: int = 2
-    output_format: str = "json"
-    output_path: str | None = None
     diagonal: bool = False
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.output_format}")
+        if self.q < 1:
+            raise ValueError(f"q must be >= 1, got {self.q}")
 
 
 def _load_covariance(path: str) -> CovarianceMatrix:
@@ -349,13 +347,11 @@ def cmd_sweep(args) -> int:
         q=args.q,
         m_max=args.m_max,
         n_max=args.n_max,
-        output_format=args.format,
-        output_path=args.out,
         diagonal=args.diagonal,
     )
     records = run_sweep(config)
-    renderer = render_sweep_json if config.output_format == "json" else render_sweep_csv
-    _emit(renderer(records), config.output_path)
+    renderer = render_sweep_json if args.format == "json" else render_sweep_csv
+    _emit(renderer(records), args.out)
     holds = sum(1 for rec in records if rec["holds"])
     equalities = sum(1 for rec in records if rec["equality"])
     failures = len(records) - holds

@@ -2,8 +2,10 @@
 
 Every quantity that enters a verdict is an arbitrary-precision rational
 (``fractions.Fraction``); floating point never participates in a comparison.
-Polynomials are dense coefficient lists over rationals, and root isolation is
-plain bisection driven by exact sign evaluations.
+Every `Scalar` input in the package is read through `parse_rational`, which
+refuses binary floats.  Polynomials are dense coefficient lists over
+rationals, and root isolation is plain bisection driven by exact sign
+evaluations.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ def parse_rational(text: Scalar) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x: Scalar) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    return str(parse_rational(x))
 
 
 def _integer_coeffs(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -60,7 +62,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else parse_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -76,7 +78,7 @@ class Polynomial:
         return not self.coeffs
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = parse_rational(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -156,7 +158,7 @@ def isolate_root(
     an endpoint that is already a root yields the degenerate interval at that
     endpoint.  All sign decisions are exact rational comparisons.
     """
-    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    lo, hi, width = parse_rational(lo), parse_rational(hi), parse_rational(width)
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     if width <= 0:

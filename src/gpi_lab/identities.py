@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Polynomial, Scalar, format_rational
+from .core import Polynomial, Scalar, format_rational, parse_rational
 from .specialfn import OutOfRangeError, hyp2f1_terminating, pochhammer
 
 
@@ -131,7 +131,7 @@ def check_kummer_classical(r: int, b: Scalar) -> IdentityVerdict:
     """
     if r < 1:
         raise OutOfRangeError(f"need r >= 1, got r={r}")
-    b = Fraction(b)
+    b = parse_rational(b)
     lhs = hyp2f1_terminating(-2 * r, b, 1 - 2 * r - b, -1)
     rhs = pochhammer(b, r) * math.factorial(2 * r) / (math.factorial(r) * pochhammer(b, 2 * r))
     return IdentityVerdict(

@@ -9,13 +9,16 @@ Nothing recurses on the degree.  The power tables live on each covariance,
 created at its first moment and extended lazily, so every call on one draw
 shares them and they are freed with the draw.  Covariance validity (exact
 symmetry and positive semidefiniteness) is certified at construction time by
-fraction-free (Bareiss) elimination on the scaled integer matrix; no floating
-point is involved anywhere.
+fraction-free (Bareiss) elimination on the scaled integer matrix, and a matrix
+that fails reports its negative principal minor, read off the elimination's
+pivot.  Rational inputs go through `core.parse_rational`, so binary floats are
+refused and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,34 +41,6 @@ class DimensionMismatchError(ValueError):
 
 
 Exponents = tuple[int, ...]
-
-
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with row pivoting."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / a[k][k]
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return det
-
-
-def principal_minor(rows: Sequence[Sequence[Scalar]], indices: Sequence[int]) -> Fraction:
-    """Determinant of the principal submatrix on the given row/column indices."""
-    sub = [[Fraction(rows[i][j]) for j in indices] for i in indices]
-    return _det(sub)
 
 
 @dataclass(frozen=True)
@@ -92,16 +67,18 @@ def _integer_form(
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
 
-def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """Indices of a principal submatrix with a negative determinant, or None if PSD.
+def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
+    """A principal submatrix with a negative determinant and that determinant,
+    or None if PSD.
 
     Fraction-free symmetric elimination (Bareiss, 1968) on the upper triangle:
     after the pivots P are eliminated, entry (i, j) is the minor of rows P+i
     and columns P+j, and `prev` is the minor on P, which is positive.  So every
     entry has the sign of the rational Schur complement, and each division is
-    exact.  A zero pivot whose remaining row has vanished is skipped; a
-    negative pivot, or a zero pivot with a nonzero entry to its right, names
-    the negative minor.
+    exact.  A zero pivot whose remaining row has vanished is skipped.  A
+    negative pivot at k is itself the minor on P+k; a zero pivot at k with a
+    nonzero entry a_kj to its right gives the minor -a_kj^2 / prev on P+k+j,
+    by Sylvester's identity.
     """
     n = len(scaled)
     if any(len(row) != n for row in scaled):
@@ -118,11 +95,11 @@ def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
         row_k = a[k]
         pivot = row_k[k]
         if pivot < 0:
-            return (*eliminated, k)
+            return (*eliminated, k), pivot
         if pivot == 0:
             for j in range(k + 1, n):
                 if row_k[j] != 0:
-                    return (*eliminated, k, j)
+                    return (*eliminated, k, j), -(row_k[j] ** 2) // prev
             continue
         eliminated.append(k)
         for i in range(k + 1, n):
@@ -138,15 +115,17 @@ def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
 
     The matrix is scaled to integers over a common denominator, which keeps the
     sign of every principal minor, and eliminated fraction-free in Python ints.
-    A failing certificate carries the negative minor of `rows` itself.
+    A failing certificate carries the negative minor of `rows` itself: the
+    minor of the scaled matrix over D^|indices|.
     """
-    _, scaled = _integer_form(
-        [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    den, scaled = _integer_form(
+        [[x if isinstance(x, (int, Fraction)) else parse_rational(x) for x in row] for row in rows]
     )
-    indices = _negative_minor(scaled)
-    if indices is None:
+    found = _negative_minor(scaled)
+    if found is None:
         return PsdCertificate(True)
-    return PsdCertificate(False, indices, principal_minor(rows, indices))
+    indices, minor = found
+    return PsdCertificate(False, indices, Fraction(minor, den ** len(indices)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +149,7 @@ class CovarianceMatrix:
         if not cert:
             raise InvalidCovarianceError(
                 f"not PSD: principal minor on rows {cert.indices} is "
-                f"{principal_minor(self.entries, cert.indices)}"
+                f"{cert.minor / den ** len(cert.indices)}"
             )
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "scaled", scaled)
@@ -188,12 +167,15 @@ class CovarianceMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Scalar]]) -> "CovarianceMatrix":
         return cls(
-            tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows)
+            tuple(
+                tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in row)
+                for row in rows
+            )
         )
 
     @classmethod
     def diagonal(cls, variances: Iterable[Scalar]) -> "CovarianceMatrix":
-        vs = [Fraction(v) for v in variances]
+        vs = [parse_rational(v) for v in variances]
         n = len(vs)
         return cls.from_rows(
             [[vs[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -237,10 +219,16 @@ class CovarianceMatrix:
         )
 
 
-def validate_exponents(exponents: Sequence[int]) -> Exponents:
-    ks = tuple(int(k) for k in exponents)
+def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Exponents:
+    """The exponents as a tuple of ints, one nonnegative integer per coordinate of cov."""
+    try:
+        ks = tuple(map(operator.index, exponents))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {exponents!r}") from None
     if any(k < 0 for k in ks):
         raise ValueError(f"exponents must be nonnegative, got {ks}")
+    if len(ks) != cov.dim:
+        raise DimensionMismatchError(f"{len(ks)} exponents for a {cov.dim}x{cov.dim} covariance")
     return ks
 
 
@@ -376,9 +364,7 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
     the scaled covariance and divided once at the end.  Odd total degree gives
     0; the empty product gives 1.
     """
-    k = validate_exponents(exponents)
-    if len(k) != cov.dim:
-        raise DimensionMismatchError(f"{len(k)} exponents for a {cov.dim}x{cov.dim} covariance")
+    k = validate_exponents(cov, exponents)
     if sum(k) % 2 == 1:
         return Fraction(0)
     return cov._tables.moment(k)
@@ -387,7 +373,7 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
 def univariate_even_moment(variance: Scalar, m: int) -> Fraction:
     """(2m-1)!! * variance^m, the even moment of a centered Gaussian scalar."""
     if not isinstance(variance, (int, Fraction)):
-        variance = Fraction(variance)
+        variance = parse_rational(variance)
     if variance < 0:
         raise InvalidCovarianceError(f"variance must be >= 0, got {variance}")
     if m < 0:

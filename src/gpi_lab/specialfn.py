@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .core import Polynomial, Scalar, format_rational
+from .core import Polynomial, Scalar, format_rational, parse_rational
 
 ContiguousRelation = Literal["R38", "R32", "R40", "DIFF"]
 
@@ -44,7 +44,7 @@ class HypergeometricParams:
 
     @classmethod
     def make(cls, a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> "HypergeometricParams":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(z))
+        return cls(parse_rational(a), parse_rational(b), parse_rational(c), parse_rational(z))
 
     def as_dict(self) -> dict:
         return {
@@ -62,7 +62,7 @@ def pochhammer(alpha: Scalar, n: int) -> Fraction:
     """
     if n < 0:
         raise OutOfRangeError(f"pochhammer order must be >= 0, got {n}")
-    alpha = Fraction(alpha)
+    alpha = parse_rational(alpha)
     p, q = alpha.numerator, alpha.denominator
     # (p/q + i) = (p + i q)/q: multiply the integer numerators, reduce once.
     num = 1
@@ -110,7 +110,7 @@ def hyp2f1_terminating(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> Fraction:
     Requires a in {0, -1, -2, ...}; raises PoleBeforeTerminationError when a
     factor of (c)_i vanishes within the |a|+1 summed terms.
     """
-    a, b, c, z = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
+    a, b, c, z = map(parse_rational, (a, b, c, z))
     order = _termination_order(a)
     _check_poles(c, order)
     total = Fraction(0)
@@ -128,7 +128,7 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Polynomial:
     Independent of hyp2f1_terminating's running-term update, so the two routes
     cross-check each other.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = map(parse_rational, (a, b, c))
     order = _termination_order(a)
     _check_poles(c, order)
     coeffs = [

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
-from .core import Polynomial, Scalar, format_rational, isolate_root
+from .core import Polynomial, Scalar, format_rational, isolate_root, parse_rational
 from .moments import (
     CovarianceMatrix,
     InvalidCovarianceError,
@@ -122,8 +122,8 @@ class DegenerateTriple:
 
     @classmethod
     def from_a(cls, a: Scalar, sigma2: Scalar) -> "DegenerateTriple":
-        a = Fraction(a)
-        return cls(a, a - 1, Fraction(sigma2))
+        a = parse_rational(a)
+        return cls(a, a - 1, parse_rational(sigma2))
 
     def covariance(self) -> CovarianceMatrix:
         a, b, s2 = self.a, self.b, self.sigma2
@@ -134,16 +134,6 @@ class DegenerateTriple:
                 [a, b, Fraction(1)],
             ]
         )
-
-
-@dataclass(frozen=True)
-class RegressionSplit:
-    """Z = Z0 + Z1 with Z0 = alpha X + beta Y and Z1 independent of (X, Y)."""
-
-    alpha: Fraction
-    beta: Fraction
-    var_z1: Fraction
-    singular_fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -254,7 +244,7 @@ def cross_check_lemma29(
     if gammas is None:
         gammas = default_bridge_gammas(r)
     for gamma in gammas:
-        gamma = Fraction(gamma)
+        gamma = parse_rational(gamma)
         if not 0 < gamma < 1:
             raise OutOfRangeError(f"sample gamma must lie in (0,1), got {gamma}")
         if polys.G(gamma) != hypergeometric_G(m, n, r, gamma):
@@ -323,23 +313,15 @@ def check_lemma210(
     )
 
 
-def min_C(m: int, n: int, r: int) -> tuple[int, Fraction]:
-    """Scan C(i) = hb(m+r-i, r-i) hb(n+i, i) over 0 <= i <= r for its minimum.
-
-    Postcondition (C is unimodal with its peak strictly inside): the minimum
-    is attained at i = 0 or i = r and equals hb(min(m,n)+r, r).
-    """
+def check_min_C(m: int, n: int, r: int) -> InequalityVerdict:
+    """The Prop 2.1 constant: min over 0 <= i <= r of C(i) = hb(m+r-i, r-i) hb(n+i, i)
+    equals hb(min(m,n)+r, r), the value of C at an endpoint (C is unimodal with
+    its peak strictly inside)."""
     if m < 1 or n < 1 or r < 1:
         raise OutOfRangeError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
-    values = [half_binomial(m + r - i, r - i) * half_binomial(n + i, i) for i in range(r + 1)]
-    value = min(values)
-    argmin = values.index(value)
-    if argmin not in (0, r) or value != half_binomial(min(m, n) + r, r):
-        raise RuntimeError(
-            f"endpoint-minimum postcondition failed at m={m}, n={n}, r={r}: "
-            f"argmin={argmin}, value={value}"
-        )
-    return argmin, value
+    lhs = min(half_binomial(m + r - i, r - i) * half_binomial(n + i, i) for i in range(r + 1))
+    rhs = half_binomial(min(m, n) + r, r)
+    return InequalityVerdict("prop21_constant", {"m": m, "n": n, "r": r}, lhs, rhs, "==")
 
 
 def _require_positive(name: str, value: Fraction) -> Fraction:
@@ -353,8 +335,8 @@ def check_prop21(m: int, n: int, r: int, a2: Scalar, b2: Scalar) -> InequalityVe
     for independent X, Y with variances a2, b2."""
     if m < 1 or n < 1 or r < 1:
         raise OutOfRangeError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
-    a2 = _require_positive("a2", Fraction(a2))
-    b2 = _require_positive("b2", Fraction(b2))
+    a2 = _require_positive("a2", parse_rational(a2))
+    b2 = _require_positive("b2", parse_rational(b2))
     cov3 = CovarianceMatrix.from_rows(
         [[a2, 0, a2], [0, b2, b2], [a2, b2, a2 + b2]]
     )
@@ -379,8 +361,8 @@ def check_thm22(m: int, n: int, r: int, a2: Scalar, b2: Scalar) -> InequalityVer
     """
     if m < 0 or n < 0 or r < 1:
         raise OutOfRangeError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
-    a2 = _require_positive("a2", Fraction(a2))
-    b2 = _require_positive("b2", Fraction(b2))
+    a2 = _require_positive("a2", parse_rational(a2))
+    b2 = _require_positive("b2", parse_rational(b2))
     lhs = sum(
         (
             (-1) ** i
@@ -470,39 +452,6 @@ def check_lemma31(m: int, n: int, triple: DegenerateTriple) -> InequalityVerdict
         rhs,
         relation=">",
     )
-
-
-def regression_split(cov3: CovarianceMatrix) -> RegressionSplit:
-    """Split Z into its linear regression Z0 = alpha X + beta Y and the
-    orthogonal (hence independent) remainder Z1.
-
-    A singular (X, Y) block falls back to the maximal invertible sub-block
-    (or to alpha = beta = 0 when both variances vanish) and flags the output.
-    """
-    if cov3.dim != 3:
-        raise InvalidCovarianceError(f"need a 3x3 covariance, got {cov3.dim}x{cov3.dim}")
-    s = cov3.entries
-    sxx, sxy, syy = s[0][0], s[0][1], s[1][1]
-    sxz, syz, szz = s[0][2], s[1][2], s[2][2]
-    det = sxx * syy - sxy * sxy
-    if det != 0:
-        alpha = (syy * sxz - sxy * syz) / det
-        beta = (sxx * syz - sxy * sxz) / det
-        fallback = False
-    elif sxx != 0:
-        alpha, beta, fallback = sxz / sxx, Fraction(0), True
-    elif syy != 0:
-        alpha, beta, fallback = Fraction(0), syz / syy, True
-    else:
-        alpha, beta, fallback = Fraction(0), Fraction(0), True
-    var_z1 = szz - (alpha * sxz + beta * syz)
-    # PSD of the input makes these identities automatic; a violation would mean
-    # the covariance certificate itself is broken.
-    if sxz - (alpha * sxx + beta * sxy) != 0 or syz - (alpha * sxy + beta * syy) != 0:
-        raise RuntimeError("regression residual is not orthogonal to (X, Y)")
-    if var_z1 < 0:
-        raise RuntimeError("negative residual variance from a certified PSD covariance")
-    return RegressionSplit(alpha, beta, var_z1, singular_fallback=fallback)
 
 
 def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:

@@ -1,8 +1,10 @@
-"""Shared hypothesis strategies for the exact-arithmetic suite."""
+"""Shared hypothesis strategies and the Sylvester-criterion oracle for the
+exact-arithmetic suite."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -50,3 +52,25 @@ def bounded_exponents(draw, dim: int, total: int = 8):
         if ks[idx] > 0:
             ks[idx] -= 1
     return tuple(ks)
+
+
+def principal_minor(rows: Sequence[Sequence], indices: Sequence[int]) -> Fraction:
+    """Determinant of the principal submatrix on `indices`, by Fraction Gaussian
+    elimination with row pivoting: an oracle that shares nothing with the
+    fraction-free elimination of `moments.is_psd`."""
+    a = [[Fraction(rows[i][j]) for j in indices] for i in indices]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    return det

@@ -349,6 +349,13 @@ class TestSweep:
         )
         assert run_python(["-c", probe]).returncode == 0
 
+    @pytest.mark.parametrize("draws", [["--diagonal"], []], ids=["diagonal", "gram"])
+    def test_nonpositive_q_is_usage_error(self, draws):
+        # Before the check, a diagonal draw redrew randint(0, 0) forever.
+        argv = ["sweep", "--seed", "1", "--count", "1", "--q", "0", *draws]
+        proc = run_python(["-m", "gpi_lab", *argv])
+        assert_one_line_error(proc, 2, "gpi-lab: error: q must be >= 1, got 0")
+
     def test_zero_count_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "0")
         assert code == 2

@@ -10,13 +10,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpi_lab import (
+    CovarianceMatrix,
+    DegenerateTriple,
+    HypergeometricParams,
     Polynomial,
     SameSignError,
     SplitMix64,
+    check_kummer_classical,
+    check_lemma210,
+    check_prop21,
+    check_thm22,
+    cross_check_lemma29,
     format_rational,
+    hyp2f1_terminating,
+    hypergeometric_G,
+    is_psd,
     isolate_root,
     parse_rational,
+    pochhammer,
+    univariate_even_moment,
 )
+from gpi_lab.specialfn import hyp2f1_poly, pfaff_instance
 
 from conftest import polynomials, rationals
 
@@ -48,6 +62,47 @@ class TestRationalSerialization:
 
     def test_decimal_strings_are_exact(self):
         assert parse_rational("0.1") == Fraction(1, 10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: Polynomial([0.1]), id="Polynomial"),
+            pytest.param(lambda: Polynomial([1, 1])(0.1), id="Polynomial.__call__"),
+            pytest.param(
+                lambda: isolate_root(Polynomial([-1, 2]), 0.1, 1, "1/8"), id="isolate_root.lo"
+            ),
+            pytest.param(
+                lambda: isolate_root(Polynomial([-1, 2]), 0, 1, 0.1), id="isolate_root.width"
+            ),
+            pytest.param(lambda: format_rational(0.1), id="format_rational"),
+            pytest.param(
+                lambda: CovarianceMatrix.from_rows([[0.1]]), id="CovarianceMatrix.from_rows"
+            ),
+            pytest.param(lambda: CovarianceMatrix.diagonal([0.1]), id="CovarianceMatrix.diagonal"),
+            pytest.param(lambda: is_psd([[0.1]]), id="is_psd"),
+            pytest.param(lambda: univariate_even_moment(0.1, 1), id="univariate_even_moment"),
+            pytest.param(lambda: pochhammer(0.1, 1), id="pochhammer"),
+            pytest.param(lambda: hyp2f1_terminating(-1, 0.1, 1, 1), id="hyp2f1_terminating"),
+            pytest.param(lambda: hyp2f1_poly(-1, 0.1, 1), id="hyp2f1_poly"),
+            pytest.param(
+                lambda: HypergeometricParams.make(-1, 0.1, 1, 1), id="HypergeometricParams.make"
+            ),
+            pytest.param(lambda: pfaff_instance(1, 0, 0, 0.1), id="pfaff_instance"),
+            pytest.param(lambda: DegenerateTriple.from_a(0.1, 1), id="DegenerateTriple.from_a"),
+            pytest.param(
+                lambda: DegenerateTriple.from_a(2, 0.1), id="DegenerateTriple.from_a.sigma2"
+            ),
+            pytest.param(lambda: check_prop21(1, 1, 1, 0.1, 1), id="check_prop21"),
+            pytest.param(lambda: check_thm22(1, 1, 1, 1, 0.1), id="check_thm22"),
+            pytest.param(lambda: hypergeometric_G(1, 1, 1, 0.1), id="hypergeometric_G"),
+            pytest.param(lambda: cross_check_lemma29(1, 1, 1, [0.1]), id="cross_check_lemma29"),
+            pytest.param(lambda: check_kummer_classical(1, 0.1), id="check_kummer_classical"),
+            pytest.param(lambda: check_lemma210(1, 1, 1, 0.1), id="check_lemma210"),
+        ],
+    )
+    def test_binary_float_refused_at_every_entry_point(self, call):
+        with pytest.raises(ValueError, match="refusing float 0.1"):
+            call()
 
     @given(rationals())
     def test_roundtrip(self, x):

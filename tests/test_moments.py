@@ -31,9 +31,8 @@ from gpi_lab import (
 )
 from gpi_lab import moments
 from gpi_lab._pairing import pairing_moment, wick_moment
-from gpi_lab.moments import principal_minor
 
-from conftest import bounded_exponents, gram_covariances
+from conftest import bounded_exponents, gram_covariances, principal_minor
 
 WEI_COV = CovarianceMatrix.from_rows([[1, 1, 1], [1, 5, -3], [1, -3, 5]])
 RHO_HALF = CovarianceMatrix.from_rows([[1, "1/2"], ["1/2", 1]])
@@ -86,6 +85,17 @@ class TestGaussianMoment:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             gaussian_moment(WEI_COV, (-2, 2, 2))
+
+    @pytest.mark.parametrize("route", [gaussian_moment, pairing_moment, wick_moment])
+    def test_every_route_shares_the_exponent_check(self, route):
+        for exponents in ((2, 2), (2, 2, 2, 2)):
+            with pytest.raises(DimensionMismatchError, match="exponents for a 3x3"):
+                route(WEI_COV, exponents)
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(WEI_COV, (2, -2, 2))
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            route(WEI_COV, (2, 2.0, 2))
+        assert route(WEI_COV, [2, 2, 2]) == 39
 
     @given(gram_covariances(), st.data())
     def test_oracle_equivalence(self, cov, data):
@@ -443,6 +453,9 @@ class TestPsdAgainstSylvester:
     def test_seeded_rational_matrices(self):
         rng = random.Random(19680101)
         seen = {True: 0, False: 0}
+        # A certificate from a zero pivot ends (..., k, j) with the minor on
+        # (..., k) zero; one from a negative pivot has a positive minor there.
+        zero_pivot_branch = {True: 0, False: 0}
         for d in (3, 4):
             for kind in self.KINDS:
                 for _ in range(40):
@@ -463,12 +476,14 @@ class TestPsdAgainstSylvester:
                         continue
                     assert cert.minor < 0
                     assert cert.minor == principal_minor(rows, cert.indices)
+                    zero_pivot_branch[principal_minor(rows, cert.indices[:-1]) == 0] += 1
                     with pytest.raises(InvalidCovarianceError) as info:
                         CovarianceMatrix.from_rows(rows)
                     assert str(info.value) == (
                         f"not PSD: principal minor on rows {cert.indices} is {cert.minor}"
                     )
         assert seen[True] >= 240 and seen[False] >= 60
+        assert zero_pivot_branch[True] and zero_pivot_branch[False]
 
     def test_string_and_mixed_entries(self):
         cert = is_psd([["1/2", 1], [1, "1/3"]])

@@ -18,12 +18,11 @@ from gpi_lab import (
     contiguous_check,
     double_factorial_odd,
     half_binomial,
-    hyp2f1_poly,
     hyp2f1_terminating,
     pfaff_check,
-    pfaff_instance,
     pochhammer,
 )
+from gpi_lab.specialfn import hyp2f1_poly, pfaff_instance
 
 from conftest import rationals
 

@@ -4,7 +4,6 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 from __future__ import annotations
 
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from gpi_lab import (
     check_lemma210,
     check_lemma31,
     check_main,
+    check_min_C,
     check_prop21,
     check_thm22,
     check_thm32,
@@ -35,16 +35,14 @@ from gpi_lab import (
     half_binomial,
     hypergeometric_G,
     interior_gammas,
-    min_C,
     pochhammer,
     random_covariance,
-    regression_split,
     univariate_even_moment,
 )
 from gpi_lab._pairing import pairing_moment
 from gpi_lab.verifier import WEI_COUNTEREXAMPLE_COV
 
-from conftest import gram_covariances
+from conftest import principal_minor
 
 HALF = Fraction(1, 2)
 
@@ -206,22 +204,36 @@ class TestLemma210:
 
 class TestMinC:
     def test_symmetric_tie(self):
-        assert min_C(1, 1, 1) == (0, Fraction(3))
+        v = check_min_C(1, 1, 1)
+        assert (v.lhs, v.rhs) == (3, 3)
+        assert v.holds
 
     def test_minimum_at_r(self):
-        assert min_C(2, 1, 1) == (1, Fraction(3))
+        # C(0) = hb(3, 1) hb(1, 0) = 5 and C(1) = hb(2, 0) hb(2, 1) = 3.
+        v = check_min_C(2, 1, 1)
+        assert v.lhs == half_binomial(2, 0) * half_binomial(2, 1) == 3
+        assert half_binomial(3, 1) * half_binomial(1, 0) == 5
+        assert v.holds
 
     def test_minimum_at_zero(self):
-        argmin, value = min_C(1, 2, 3)
-        assert argmin == 0
-        assert value == half_binomial(4, 3)
+        v = check_min_C(1, 2, 3)
+        assert v.lhs == half_binomial(4, 3) * half_binomial(2, 0)
+        assert v.rhs == half_binomial(4, 3)
+        assert v.holds
 
     def test_grid_matches_closed_form(self):
         for m in range(1, 6):
             for n in range(1, 6):
                 for r in range(1, 6):
-                    _, value = min_C(m, n, r)
-                    assert value == half_binomial(min(m, n) + r, r)
+                    v = check_min_C(m, n, r)
+                    assert v.holds and v.relation == "=="
+                    assert v.rhs == half_binomial(min(m, n) + r, r)
+                    assert v.as_dict()["claim"] == "prop21_constant"
+                    assert v.as_dict()["params"] == {"m": m, "n": n, "r": r}
+
+    def test_out_of_range(self):
+        with pytest.raises(OutOfRangeError):
+            check_min_C(0, 1, 1)
 
 
 class TestProp21:
@@ -372,59 +384,7 @@ class TestLemma31:
 
     def test_covariance_is_rank_deficient(self):
         cov = DegenerateTriple.from_a(1, 1).covariance()
-        from gpi_lab.moments import principal_minor
-
         assert principal_minor(cov.entries, (0, 1, 2)) == 0
-
-
-class TestRegressionSplit:
-    def test_diagonal(self):
-        split = regression_split(CovarianceMatrix.diagonal([1, 1, 4]))
-        assert (split.alpha, split.beta, split.var_z1) == (0, 0, 4)
-        assert not split.singular_fallback
-
-    def test_sum_vector(self):
-        cov = CovarianceMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-        split = regression_split(cov)
-        assert (split.alpha, split.beta, split.var_z1) == (1, 1, 0)
-
-    def test_partial_correlation(self):
-        cov = CovarianceMatrix.from_rows([[1, 0, "1/2"], [0, 1, 0], ["1/2", 0, 1]])
-        split = regression_split(cov)
-        assert (split.alpha, split.beta, split.var_z1) == (HALF, 0, Fraction(3, 4))
-
-    def test_singular_block_fallback(self):
-        cov = CovarianceMatrix.from_rows([[1, 1, "1/2"], [1, 1, "1/2"], ["1/2", "1/2", 1]])
-        split = regression_split(cov)
-        assert split.singular_fallback
-        assert split.alpha == HALF and split.beta == 0
-        assert split.var_z1 == Fraction(3, 4)
-
-    def test_zero_block_fallback(self):
-        cov = CovarianceMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-        split = regression_split(cov)
-        assert split.singular_fallback
-        assert (split.alpha, split.beta, split.var_z1) == (0, 0, 1)
-
-    @given(gram_covariances(min_dim=3, max_dim=3))
-    def test_orthogonality_and_moment_reconstruction(self, cov):
-        split = regression_split(cov)
-        s = cov.entries
-        assert s[0][2] - (split.alpha * s[0][0] + split.beta * s[0][1]) == 0
-        assert s[1][2] - (split.alpha * s[0][1] + split.beta * s[1][1]) == 0
-        var_z0 = split.alpha * s[0][2] + split.beta * s[1][2]
-        for n in range(4):
-            direct = univariate_even_moment(s[2][2], n)
-            mixture = sum(
-                (
-                    math.comb(2 * n, 2 * i)
-                    * univariate_even_moment(var_z0, n - i)
-                    * univariate_even_moment(split.var_z1, i)
-                    for i in range(n + 1)
-                ),
-                Fraction(0),
-            )
-            assert direct == mixture
 
 
 class TestThm32AndMain:
