@@ -47,12 +47,12 @@ from .verifier import (
     GammaPolynomialSet,
     InequalityVerdict,
     InvalidTripleError,
-    NoSignChangeError,
     StationaryPointCertificate,
     UnequalVariancesError,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
+    check_lemma29,
     check_lemma210,
     check_lemma31,
     check_main,
@@ -61,9 +61,6 @@ from .verifier import (
     check_thm22,
     check_thm32,
     counterexample_wei,
-    cross_check_lemma29,
-    default_bridge_gammas,
-    hypergeometric_G,
     interior_gammas,
 )
 

@@ -19,10 +19,10 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ._pairing import pairing_moment
-from .core import Polynomial, SplitMix64, format_rational, parse_rational
+from .core import Polynomial, SplitMix64, format_rational
 from .identities import (
     IdentityVerdict,
     build_polynomial_L,
@@ -42,9 +42,12 @@ from .specialfn import (
 )
 from .verifier import (
     DegenerateTriple,
+    InequalityVerdict,
+    StationaryPointCertificate,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
+    check_lemma29,
     check_lemma210,
     check_lemma31,
     check_main,
@@ -52,8 +55,6 @@ from .verifier import (
     check_thm22,
     check_thm32,
     counterexample_wei,
-    cross_check_lemma29,
-    default_bridge_gammas,
 )
 
 KUMMER_DEFAULT_BS = ("1/3", "1/2", "3/2", "7/3")
@@ -76,6 +77,10 @@ class SweepConfig:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
+        if self.m_max < 1 or self.n_max < 1:
+            raise ValueError(
+                f"need m_max, n_max >= 1, got m_max={self.m_max}, n_max={self.n_max}"
+            )
 
 
 def _load_covariance(path: str) -> CovarianceMatrix:
@@ -152,7 +157,7 @@ def identity_verdicts(
             yield check_corollary28(l, r)
     for r in range(1, kummer_r_max + 1):
         for b in KUMMER_DEFAULT_BS:
-            yield check_kummer_classical(r, parse_rational(b))
+            yield check_kummer_classical(r, b)
 
 
 def polynomial_L_verdicts(r_max: int) -> Iterator[IdentityVerdict]:
@@ -165,6 +170,11 @@ def polynomial_L_verdicts(r_max: int) -> Iterator[IdentityVerdict]:
 
 def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
     """Every identity family at the requested ranges, as JSON-ready dicts."""
+    if n_max < 0 or r_max < 1 or l_max < 1:
+        raise ValueError(
+            f"need n_max >= 0 and r_max, l_max >= 1, "
+            f"got n_max={n_max}, r_max={r_max}, l_max={l_max}"
+        )
     verdicts = itertools.chain(
         identity_verdicts(n_max, r_max, l_max, min(r_max, KUMMER_R_MAX)),
         polynomial_L_verdicts(r_max),
@@ -184,48 +194,31 @@ def cmd_identities(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _required_cov(args: argparse.Namespace, dim: int) -> CovarianceMatrix:
+    if args.cov is None:
+        raise ValueError(f"--claim {args.claim} requires --cov with a {dim}x{dim} covariance")
+    return _load_covariance(args.cov)
+
+
+Verdict = InequalityVerdict | StationaryPointCertificate
+
+# Every claim `gpi-lab check` can run; each parses its own rationals.
+CHECKS: dict[str, Callable[[argparse.Namespace], Verdict]] = {
+    "prop21": lambda a: check_prop21(a.m, a.n, a.r, a.a2, a.b2),
+    "thm22": lambda a: check_thm22(a.m, a.n, a.r, a.a2, a.b2),
+    "cor23": lambda a: check_cor23(a.m, a.n, a.r, _required_cov(a, 2)),
+    "lemma29": lambda a: check_lemma29(a.m, a.n, a.r),
+    "lemma210": lambda a: check_lemma210(a.m, a.n, a.r, a.width),
+    "lemma31": lambda a: check_lemma31(a.m, a.n, DegenerateTriple.from_a(a.a, a.sigma2)),
+    "thm32": lambda a: check_thm32(a.m, a.n, _required_cov(a, 3)),
+    "main": lambda a: check_main(a.m, _required_cov(a, 3)),
+}
+
+
 def cmd_check(args) -> int:
-    claim = args.claim
-    if claim == "prop21":
-        verdict = check_prop21(
-            args.m, args.n, args.r, parse_rational(args.a2), parse_rational(args.b2)
-        ).as_dict()
-    elif claim == "thm22":
-        verdict = check_thm22(
-            args.m, args.n, args.r, parse_rational(args.a2), parse_rational(args.b2)
-        ).as_dict()
-    elif claim == "cor23":
-        if args.cov is None:
-            raise ValueError("--claim cor23 requires --cov with a 2x2 covariance")
-        verdict = check_cor23(args.m, args.n, args.r, _load_covariance(args.cov)).as_dict()
-    elif claim == "lemma29":
-        gammas = default_bridge_gammas(args.r)
-        verdict = {
-            "claim": "lemma29",
-            "params": {"m": args.m, "n": args.n, "r": args.r, "points": len(gammas)},
-            "lhs": None,
-            "rhs": None,
-            "holds": cross_check_lemma29(args.m, args.n, args.r, gammas),
-            "equality": None,
-            "equality_condition_met": None,
-        }
-    elif claim == "lemma210":
-        verdict = check_lemma210(args.m, args.n, args.r, parse_rational(args.width)).as_dict()
-    elif claim == "lemma31":
-        triple = DegenerateTriple.from_a(parse_rational(args.a), parse_rational(args.sigma2))
-        verdict = check_lemma31(args.m, args.n, triple).as_dict()
-    elif claim == "thm32":
-        if args.cov is None:
-            raise ValueError("--claim thm32 requires --cov with a 3x3 covariance")
-        verdict = check_thm32(args.m, args.n, _load_covariance(args.cov)).as_dict()
-    elif claim == "main":
-        if args.cov is None:
-            raise ValueError("--claim main requires --cov with a 3x3 covariance")
-        verdict = check_main(args.m, _load_covariance(args.cov)).as_dict()
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown claim {claim!r}")
-    print(json.dumps(verdict))
-    return 0 if verdict["holds"] else 1
+    verdict = CHECKS[args.claim](args)
+    print(json.dumps(verdict.as_dict()))
+    return 0 if verdict.holds else 1
 
 
 def cmd_poly(args) -> int:
@@ -250,12 +243,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hyp(args) -> int:
-    params = HypergeometricParams.make(
-        parse_rational(args.a),
-        parse_rational(args.b),
-        parse_rational(args.c),
-        parse_rational(args.z),
-    )
+    params = HypergeometricParams.make(args.a, args.b, args.c, args.z)
     result: dict = {"params": params.as_dict()}
     ok = True
     if not args.pfaff and args.contiguous is None:
@@ -423,7 +411,7 @@ def verification_families(
         ("auxiliary polynomial L == 0", (v.holds for v in polynomial_L_verdicts(r_max))),
         (
             "moment/hypergeometric bridge",
-            (cross_check_lemma29(m, n, r) for m in mn for n in mn for r in bridge_rs),
+            (check_lemma29(m, n, r).holds for m in mn for n in mn for r in bridge_rs),
         ),
         (
             "H positivity and convexity witnesses",
@@ -494,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--claim",
         required=True,
-        choices=["prop21", "thm22", "cor23", "lemma29", "lemma210", "lemma31", "thm32", "main"],
+        choices=list(CHECKS),
     )
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)

@@ -108,11 +108,6 @@ class Polynomial:
             return self + (-other if isinstance(other, Polynomial) else Polynomial([-Fraction(other)]))
         return NotImplemented
 
-    def __rsub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([other]) - self
-        return NotImplemented
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():

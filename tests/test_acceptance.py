@@ -22,12 +22,12 @@ from gpi_lab import (
     check_kummer_classical,
     check_lemma25,
     check_lemma27,
+    check_lemma29,
     check_lemma210,
     check_lemma31,
     check_symmetric_identity,
     check_thm22,
     counterexample_wei,
-    cross_check_lemma29,
     gaussian_moment,
     half_binomial,
     random_covariance,
@@ -92,7 +92,7 @@ def test_criterion_05_hypergeometric_bridge():
         for m in range(4):
             for n in range(4):
                 for r in range(1, 4):
-                    assert cross_check_lemma29(m, n, r), (m, n, r)
+                    assert check_lemma29(m, n, r).holds, (m, n, r)
 
 
 def test_criterion_06_H_properties():

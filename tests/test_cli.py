@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from gpi_lab import cli
+from gpi_lab import cli, verifier
 from gpi_lab.cli import covariance_hash, main
+from gpi_lab.core import Polynomial
 from gpi_lab.moments import CovarianceMatrix
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
@@ -39,6 +42,11 @@ def pair_cov_file(tmp_path):
     path = tmp_path / "cov2.json"
     path.write_text(json.dumps({"dim": 2, "entries": [["1", "0"], ["0", "1"]]}))
     return str(path)
+
+
+def gamma_as_B(m, n, r, real=verifier.build_gamma_polynomials):
+    """The real G, H for (m, n, r) with B replaced by gamma."""
+    return dataclasses.replace(real(m, n, r), B=Polynomial([0, 1]))
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -152,6 +160,20 @@ class TestIdentities:
         }
         assert "failed=0" in err
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [("-1", "1", "1"), ("0", "0", "1"), ("0", "1", "0"), ("-1", "0", "0")],
+        ids=["n-max", "r-max", "l-max", "all"],
+    )
+    def test_empty_suite_is_usage_error(self, capsys, ranges):
+        # Before the check, a suite of zero identities printed total=0 and exited 0.
+        n_max, r_max, l_max = ranges
+        code, out, err = run_cli(
+            capsys, "identities", "--n-max", n_max, "--r-max", r_max, "--l-max", l_max
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("gpi-lab: error: need n_max >= 0") and err.count("\n") == 1
+
     def test_default_report_bytes_are_pinned(self, capsys):
         # A speed-up that changes any report byte is a bug.
         code, out, _ = run_cli(capsys, "identities")
@@ -194,9 +216,15 @@ class TestCheck:
             capsys, "check", "--claim", "lemma29", "--m", "2", "--n", "1", "--r", "2"
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc["holds"] is True
-        assert doc["params"]["points"] == 5
+        assert json.loads(out) == {
+            "claim": "lemma29",
+            "params": {"m": 2, "n": 1, "r": 2},
+            "lhs": "0",
+            "rhs": "0",
+            "holds": True,
+            "equality": True,
+            "equality_condition_met": None,
+        }
 
     def test_lemma210(self, capsys):
         code, out, _ = run_cli(
@@ -206,6 +234,19 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["holds"] is True
         assert doc["min_left_of_half"] is True
+
+    def test_failed_proof_step_is_a_refutation(self, capsys, monkeypatch):
+        # B = gamma has B' = 1 on [0, 1], so lemma 2.10 finds no minimum.
+        monkeypatch.setattr(verifier, "build_gamma_polynomials", gamma_as_B)
+        code, out, err = run_cli(
+            capsys, "check", "--claim", "lemma210", "--m", "1", "--n", "1", "--r", "1"
+        )
+        assert code == 1
+        assert err == ""
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["holds"] is False
+        assert doc["bracket"] is None
 
     def test_lemma31(self, capsys):
         code, out, _ = run_cli(
@@ -234,6 +275,25 @@ class TestCheck:
     def test_bad_parameters_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--claim", "prop21", "--m", "0")
         assert code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeChecks:
+    def test_every_example_holds(self, capsys, pair_cov_file, wei_cov_file):
+        files = {"cov2.json": pair_cov_file, "cov3.json": wei_cov_file}
+        claims = set()
+        for line in README.read_text(encoding="utf-8").splitlines():
+            if not line.strip().startswith("gpi-lab check "):
+                continue
+            argv = [files.get(word, word) for word in shlex.split(line)[1:]]
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), line
+            doc = json.loads(out)
+            assert doc["holds"] is True, line
+            claims.add(argv[argv.index("--claim") + 1])
+        assert claims == set(cli.CHECKS)
 
 
 class TestPoly:
@@ -361,6 +421,13 @@ class TestSweep:
         assert code == 2
         assert "count" in err
 
+    @pytest.mark.parametrize("bound", ["--m-max", "--n-max"])
+    def test_empty_exponent_range_is_usage_error(self, capsys, bound):
+        # Before the check, a sweep of zero records wrote an empty report and exited 0.
+        code, out, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "2", bound, "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("gpi-lab: error: need m_max, n_max >= 1") and err.count("\n") == 1
+
     def test_covariance_hash_is_stable(self):
         cov = CovarianceMatrix.from_json(WEI_JSON)
         assert covariance_hash(cov) == covariance_hash(CovarianceMatrix.from_json(WEI_JSON))
@@ -405,10 +472,15 @@ class TestVerify:
         assert "ok   randomized theorem sweep: 0 exact checks" in out
 
     def test_false_verdict_fails_exactly_its_family(self, capsys, monkeypatch):
-        real = cli.cross_check_lemma29
-        monkeypatch.setattr(
-            cli, "cross_check_lemma29", lambda m, n, r: (m, n, r) != (1, 2, 1) and real(m, n, r)
-        )
+        real = cli.check_lemma29
+
+        def refuted_once(m, n, r):
+            verdict = real(m, n, r)
+            if (m, n, r) == (1, 2, 1):
+                return dataclasses.replace(verdict, lhs=Fraction(1))
+            return verdict
+
+        monkeypatch.setattr(cli, "check_lemma29", refuted_once)
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 1
         lines = out.splitlines()
@@ -417,6 +489,18 @@ class TestVerify:
         assert [FAMILY_LINE.fullmatch(line)[1] for line in others] == [
             name for name, _ in VERIFY_QUICK_COUNTS if name != "moment/hypergeometric bridge"
         ]
+        assert lines[9:] == ["1 family FAILED"]
+
+    def test_failed_proof_step_fails_its_family(self, capsys, monkeypatch):
+        monkeypatch.setattr(verifier, "build_gamma_polynomials", gamma_as_B)
+        code, out, err = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[5] == (
+            "FAIL stationary-point certificates (B_{m+1} vs B_m): 12 of 12 exact checks failed"
+        )
+        assert all(FAMILY_LINE.fullmatch(line) for line in lines[:5] + lines[6:9])
         assert lines[9:] == ["1 family FAILED"]
 
     def test_failure_survives_optimized_mode(self):

@@ -20,10 +20,8 @@ from gpi_lab import (
     check_lemma210,
     check_prop21,
     check_thm22,
-    cross_check_lemma29,
     format_rational,
     hyp2f1_terminating,
-    hypergeometric_G,
     is_psd,
     isolate_root,
     parse_rational,
@@ -94,8 +92,6 @@ class TestRationalSerialization:
             ),
             pytest.param(lambda: check_prop21(1, 1, 1, 0.1, 1), id="check_prop21"),
             pytest.param(lambda: check_thm22(1, 1, 1, 1, 0.1), id="check_thm22"),
-            pytest.param(lambda: hypergeometric_G(1, 1, 1, 0.1), id="hypergeometric_G"),
-            pytest.param(lambda: cross_check_lemma29(1, 1, 1, [0.1]), id="cross_check_lemma29"),
             pytest.param(lambda: check_kummer_classical(1, 0.1), id="check_kummer_classical"),
             pytest.param(lambda: check_lemma210(1, 1, 1, 0.1), id="check_lemma210"),
         ],

@@ -22,6 +22,7 @@ from gpi_lab import (
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
+    check_lemma29,
     check_lemma210,
     check_lemma31,
     check_main,
@@ -30,15 +31,14 @@ from gpi_lab import (
     check_thm22,
     check_thm32,
     counterexample_wei,
-    cross_check_lemma29,
-    default_bridge_gammas,
     half_binomial,
-    hypergeometric_G,
+    hyp2f1_terminating,
     interior_gammas,
     pochhammer,
     random_covariance,
     univariate_even_moment,
 )
+from gpi_lab import verifier
 from gpi_lab._pairing import pairing_moment
 from gpi_lab.verifier import WEI_COUNTEREXAMPLE_COV
 
@@ -85,32 +85,61 @@ class TestGammaPolynomials:
                 assert build_gamma_polynomials(n, n, r).H(HALF) == 0, (n, r)
 
 
+BRIDGE_GRID = [(m, n, r) for m in range(4) for n in range(4) for r in range(1, 4)]
+
+
+def bridge_scale(m: int, n: int, r: int) -> Fraction:
+    return 2 ** (m + n + 2 * r) * pochhammer(HALF, m) * pochhammer(HALF, n + 2 * r)
+
+
 class TestLemma29Bridge:
     def test_base_anchor(self):
+        # G(1/2) = 1 = 3 F(-2, -2; -3/2; 1/2)
         assert build_gamma_polynomials(0, 0, 1).G(HALF) == 1
-        assert hypergeometric_G(0, 0, 1, HALF) == 1
+        assert 3 * hyp2f1_terminating(-2, -2, Fraction(-3, 2), HALF) == 1
+        v = check_lemma29(0, 0, 1)
+        assert v.as_dict() == {
+            "claim": "lemma29",
+            "params": {"m": 0, "n": 0, "r": 1},
+            "lhs": "0",
+            "rhs": "0",
+            "holds": True,
+            "equality": True,
+            "equality_condition_met": None,
+        }
 
     def test_sampled_identity(self):
-        gammas = [Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(3, 4)]
-        assert cross_check_lemma29(1, 0, 1, gammas)
-        assert cross_check_lemma29(2, 1, 2, default_bridge_gammas(2))
+        # The running-term series at 2r+1 distinct points determines a
+        # degree-2r polynomial; this route shares no code with hyp2f1_poly.
+        for m, n, r in BRIDGE_GRID:
+            g = build_gamma_polynomials(m, n, r).G
+            for t in range(1, 2 * r + 2):
+                gamma = Fraction(t, 2 * r + 2)
+                series = hyp2f1_terminating(-2 * r, -m - n - 2 * r, HALF - n - 2 * r, gamma)
+                assert g(gamma) == bridge_scale(m, n, r) * series, (m, n, r, gamma)
 
     def test_full_grid(self):
-        for m in range(4):
-            for n in range(4):
-                for r in range(1, 4):
-                    assert cross_check_lemma29(m, n, r), (m, n, r)
+        for m, n, r in BRIDGE_GRID:
+            v = check_lemma29(m, n, r)
+            assert v.holds and v.relation == "==", (m, n, r)
+            assert (v.lhs, v.rhs) == (0, 0)
 
-    def test_default_gammas_count_certifies_degree(self):
-        for r in range(1, 5):
-            gammas = default_bridge_gammas(r)
-            assert len(gammas) == 2 * r + 1
-            assert len(set(gammas)) == 2 * r + 1
-            assert all(0 < g < 1 for g in gammas)
+    def test_coefficient_mismatch_is_refuted(self, monkeypatch):
+        # A G off by gamma^2 / 7 leaves a residue of exactly 1/7.
+        real = verifier.build_gamma_polynomials
 
-    def test_rejects_boundary_gamma(self):
+        def skewed(m, n, r):
+            polys = real(m, n, r)
+            return dataclasses.replace(polys, G=polys.G + Polynomial([0, 0, Fraction(1, 7)]))
+
+        monkeypatch.setattr(verifier, "build_gamma_polynomials", skewed)
+        v = check_lemma29(2, 1, 2)
+        assert not v.holds
+        assert v.as_dict()["lhs"] == "1/7"
+
+    def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            cross_check_lemma29(1, 1, 1, [Fraction(0)])
+            check_lemma29(0, 0, 0)
 
 
 class TestHPositivity:
@@ -194,6 +223,23 @@ class TestLemma210:
                     lo, hi = cert.bracket
                     assert hi - lo <= width
                     assert cert.stationary_values_agree, (m, n, r)
+
+    def test_failed_sign_change_is_a_false_certificate(self, monkeypatch):
+        # B = gamma makes B' = 1 on [0, 1]: no interior minimum to bracket.
+        real = verifier.build_gamma_polynomials
+        monkeypatch.setattr(
+            verifier,
+            "build_gamma_polynomials",
+            lambda m, n, r: dataclasses.replace(real(m, n, r), B=Polynomial([0, 1])),
+        )
+        cert = check_lemma210(1, 1, 1)
+        assert cert.bracket is None
+        assert not cert.stationary_values_agree
+        assert not cert.holds
+        doc = cert.as_dict()
+        assert (doc["bracket"], doc["diff_lo"], doc["diff_hi"]) == (None, None, None)
+        assert doc["holds"] is False
+        assert doc["derivative_at_half"] == "1"
 
     def test_bracket_isolates_derivative_root(self):
         cert = check_lemma210(1, 0, 2)
