@@ -3,7 +3,6 @@ harness for the three-dimensional Gaussian product inequality."""
 
 from .core import (
     Polynomial,
-    SameSignError,
     SplitMix64,
     format_rational,
     isolate_root,
@@ -20,9 +19,6 @@ from .identities import (
 )
 from .moments import (
     CovarianceMatrix,
-    DimensionMismatchError,
-    InvalidCovarianceError,
-    NotSymmetricError,
     PsdCertificate,
     gaussian_moment,
     is_psd,
@@ -32,9 +28,6 @@ from .moments import (
 from .specialfn import (
     CONTIGUOUS_RELATIONS,
     HypergeometricParams,
-    NonTerminatingError,
-    OutOfRangeError,
-    PoleBeforeTerminationError,
     contiguous_check,
     double_factorial_odd,
     half_binomial,
@@ -46,9 +39,7 @@ from .verifier import (
     DegenerateTriple,
     GammaPolynomialSet,
     InequalityVerdict,
-    InvalidTripleError,
     StationaryPointCertificate,
-    UnequalVariancesError,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,

@@ -85,7 +85,11 @@ class SweepConfig:
 
 def _load_covariance(path: str) -> CovarianceMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return CovarianceMatrix.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"covariance JSON in {path} nests too deeply") from None
+    return CovarianceMatrix.from_json(doc)
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
@@ -143,10 +147,9 @@ def cmd_counterexample(args) -> int:
     return 0 if refuted else 1
 
 
-def identity_verdicts(
-    n_max: int, r_max: int, l_max: int, kummer_r_max: int
-) -> Iterator[IdentityVerdict]:
-    """The symmetric, lemma25/27, corollary28 and Kummer verdicts, in report order."""
+def identity_verdicts(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVerdict]:
+    """The symmetric, lemma25/27, corollary28 and Kummer verdicts, in report order;
+    the Kummer grid stops at r = KUMMER_R_MAX."""
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
             yield check_symmetric_identity(n, r)
@@ -155,7 +158,7 @@ def identity_verdicts(
             yield check_lemma25(l, r)
             yield check_lemma27(l, r)
             yield check_corollary28(l, r)
-    for r in range(1, kummer_r_max + 1):
+    for r in range(1, min(r_max, KUMMER_R_MAX) + 1):
         for b in KUMMER_DEFAULT_BS:
             yield check_kummer_classical(r, b)
 
@@ -176,7 +179,7 @@ def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
             f"got n_max={n_max}, r_max={r_max}, l_max={l_max}"
         )
     verdicts = itertools.chain(
-        identity_verdicts(n_max, r_max, l_max, min(r_max, KUMMER_R_MAX)),
+        identity_verdicts(n_max, r_max, l_max),
         polynomial_L_verdicts(r_max),
     )
     return [v.as_dict() for v in verdicts]
@@ -361,8 +364,9 @@ def verification_families(
     mn = range(mn_max + 1)
     bridge_rs = range(1, (2 if quick else 3) + 1)
     samples = 20 if quick else 50
-    if quick:
-        sweep_count = min(sweep_count, 100)
+    # Built before any family runs, so a bad count writes no family line.
+    draws = SweepConfig(seed=seed, count=min(sweep_count, 100) if quick else sweep_count, q=4)
+    diagonal_draws = SweepConfig(seed=seed + 1, count=25, q=4, diagonal=True)
     half = Fraction(1, 2)
     variances = (half, Fraction(1), Fraction(2))
 
@@ -394,19 +398,16 @@ def verification_families(
                         yield check_lemma31(m, n, triple).holds
 
     def sweep():
-        for rec in run_sweep(SweepConfig(seed=seed, count=sweep_count, q=4)):
+        for rec in run_sweep(draws):
             yield rec["holds"]
-        for rec in run_sweep(SweepConfig(seed=seed + 1, count=25, q=4, diagonal=True)):
+        for rec in run_sweep(diagonal_draws):
             yield rec["equality"]
 
     return [
         ("counterexample (39 < 43)", counterexample()),
         (
             "combinatorial identities",
-            (
-                v.holds
-                for v in identity_verdicts(n_max, r_max, l_max, min(r_max, KUMMER_R_MAX))
-            ),
+            (v.holds for v in identity_verdicts(n_max, r_max, l_max)),
         ),
         ("auxiliary polynomial L == 0", (v.holds for v in polynomial_L_verdicts(r_max))),
         (
@@ -549,14 +550,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values outgrow the int-to-str digit limit (Python 3.10.7+).  The
+    # command lifts it while it runs; library callers keep their own.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gpi-lab: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"gpi-lab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

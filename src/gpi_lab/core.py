@@ -19,24 +19,23 @@ Scalar = Union[Fraction, int, str]
 _MASK64 = (1 << 64) - 1
 
 
-class SameSignError(ValueError):
-    """Bisection was asked to bracket a root between same-sign endpoints."""
-
-
 def parse_rational(text: Scalar) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a reduced Fraction.
 
     Unreduced input and negative denominators are accepted and normalized.
     Binary floats are rejected: they silently encode rounding the exact core
-    exists to avoid.
+    exists to avoid.  Every rejection, a zero denominator included, is a
+    ValueError.
     """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, float):
         raise ValueError(f"refusing float {text!r}; pass an exact \"p/q\" string instead")
     if isinstance(text, str) and text.count("/") == 1:
-        num, _, den = text.partition("/")
-        return Fraction(int(num.strip()), int(den.strip()))
+        num, den = (int(part.strip()) for part in text.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(text)
 
 
@@ -149,7 +148,7 @@ def isolate_root(
     """Shrink [lo, hi] around a sign change of p to an interval of at most `width`.
 
     Requires width > 0 (ValueError otherwise, since bisection would never stop)
-    and p(lo), p(hi) of opposite signs (SameSignError otherwise);
+    and p(lo), p(hi) of opposite signs (ValueError otherwise);
     an endpoint that is already a root yields the degenerate interval at that
     endpoint.  All sign decisions are exact rational comparisons.
     """
@@ -165,7 +164,7 @@ def isolate_root(
     if f_hi == 0:
         return (hi, hi)
     if (f_lo > 0) == (f_hi > 0):
-        raise SameSignError(f"p({lo}) and p({hi}) share their sign; no bracket")
+        raise ValueError(f"p({lo}) and p({hi}) share their sign; no bracket")
     while hi - lo > width:
         mid = (lo + hi) / 2
         f_mid = p(mid)

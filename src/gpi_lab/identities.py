@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Polynomial, Scalar, format_rational, parse_rational
-from .specialfn import OutOfRangeError, hyp2f1_terminating, pochhammer
+from .specialfn import hyp2f1_terminating, pochhammer
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class IdentityVerdict:
 
 def _require_l_le_r(l: int, r: int) -> None:
     if not 1 <= l <= r:
-        raise OutOfRangeError(f"need 1 <= l <= r, got l={l}, r={r}")
+        raise ValueError(f"need 1 <= l <= r, got l={l}, r={r}")
 
 
 def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
@@ -61,7 +61,7 @@ def check_symmetric_identity(n: int, r: int) -> IdentityVerdict:
             = 2^{2r} (1/2)_n (1/2)_r (1/2)_{n+r}
     """
     if n < 0 or r < 1:
-        raise OutOfRangeError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+        raise ValueError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
     # (1/2)_k = (2k-1)!!/2^k, so every lhs term shares the denominator
     # 2^{(n+2r-i)+(n+i)} = 4^{n+r}: sum the integer numerators, divide once.
     odd = list(itertools.accumulate(range(1, 2 * (n + 2 * r), 2), operator.mul, initial=1))
@@ -127,10 +127,10 @@ def check_kummer_classical(r: int, b: Scalar) -> IdentityVerdict:
         F(-2r, b, 1-2r-b; -1)  =  (b)_r (2r)! / (r! (b)_{2r})
 
     For b > 0 the lower parameter 1-2r-b never hits a pole; other rational b
-    may raise PoleBeforeTerminationError out of the series evaluation.
+    may raise the series evaluation's ValueError for a pole.
     """
     if r < 1:
-        raise OutOfRangeError(f"need r >= 1, got r={r}")
+        raise ValueError(f"need r >= 1, got r={r}")
     b = parse_rational(b)
     lhs = hyp2f1_terminating(-2 * r, b, 1 - 2 * r - b, -1)
     rhs = pochhammer(b, r) * math.factorial(2 * r) / (math.factorial(r) * pochhammer(b, 2 * r))
@@ -158,7 +158,7 @@ def build_polynomial_L(r: int) -> Polynomial:
     statement about every coefficient, not about sampled values.
     """
     if r < 1:
-        raise OutOfRangeError(f"need r >= 1, got r={r}")
+        raise ValueError(f"need r >= 1, got r={r}")
     total = Polynomial()
     for i in range(r):
         term = _rising_poly(1 + r, r - i) * _rising_poly(1, i)

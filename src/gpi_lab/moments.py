@@ -28,18 +28,6 @@ from .core import Scalar, SplitMix64, format_rational, parse_rational
 from .specialfn import double_factorial_odd
 
 
-class NotSymmetricError(ValueError):
-    """Matrix handed to the PSD test is not exactly symmetric (or not square)."""
-
-
-class InvalidCovarianceError(ValueError):
-    """Entries do not form a positive semidefinite symmetric matrix."""
-
-
-class DimensionMismatchError(ValueError):
-    """Exponent vector length does not match the covariance dimension."""
-
-
 Exponents = tuple[int, ...]
 
 
@@ -82,11 +70,11 @@ def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], i
     """
     n = len(scaled)
     if any(len(row) != n for row in scaled):
-        raise NotSymmetricError("matrix is not square")
+        raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
             if scaled[i][j] != scaled[j][i]:
-                raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     a = [list(row) for row in scaled]
     eliminated: list[int] = []
@@ -147,7 +135,7 @@ class CovarianceMatrix:
         # is_psd scales an integer matrix by the identity, so this stays one scaling.
         cert = is_psd(scaled)
         if not cert:
-            raise InvalidCovarianceError(
+            raise ValueError(
                 f"not PSD: principal minor on rows {cert.indices} is "
                 f"{cert.minor / den ** len(cert.indices)}"
             )
@@ -190,16 +178,16 @@ class CovarianceMatrix:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('covariance "entries" must be a list of rows')
         try:
-            dim = int(obj["dim"])
-        except (TypeError, ValueError):
+            dim = operator.index(obj["dim"])
+        except TypeError:
             raise ValueError(f'covariance "dim" must be an integer, got {obj["dim"]!r}') from None
         try:
             parsed = [[parse_rational(x) for x in row] for row in rows]
-        except (TypeError, ZeroDivisionError) as exc:
+        except TypeError as exc:
             raise ValueError(f"bad covariance entry: {exc}") from None
         cov = cls.from_rows(parsed)
         if dim != cov.dim:
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"declared dim {obj['dim']} but {cov.dim} rows of entries"
             )
         return cov
@@ -228,7 +216,7 @@ def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Expon
     if any(k < 0 for k in ks):
         raise ValueError(f"exponents must be nonnegative, got {ks}")
     if len(ks) != cov.dim:
-        raise DimensionMismatchError(f"{len(ks)} exponents for a {cov.dim}x{cov.dim} covariance")
+        raise ValueError(f"{len(ks)} exponents for a {cov.dim}x{cov.dim} covariance")
     return ks
 
 
@@ -375,7 +363,7 @@ def univariate_even_moment(variance: Scalar, m: int) -> Fraction:
     if not isinstance(variance, (int, Fraction)):
         variance = parse_rational(variance)
     if variance < 0:
-        raise InvalidCovarianceError(f"variance must be >= 0, got {variance}")
+        raise ValueError(f"variance must be >= 0, got {variance}")
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
     return Fraction(double_factorial_odd(m) * variance.numerator**m, variance.denominator**m)

@@ -21,18 +21,6 @@ ContiguousRelation = Literal["R38", "R32", "R40", "DIFF"]
 CONTIGUOUS_RELATIONS = ("R38", "R32", "R40", "DIFF")
 
 
-class NonTerminatingError(ValueError):
-    """Series does not terminate: the first upper parameter is not in {0,-1,-2,...}."""
-
-
-class PoleBeforeTerminationError(ValueError):
-    """A lower-parameter factor (c)_i vanishes before the series terminates."""
-
-
-class OutOfRangeError(ValueError):
-    """Arguments left the declared parameter domain."""
-
-
 @dataclass(frozen=True)
 class HypergeometricParams:
     """Parameter bundle (a, b, c; z) for a terminating Gauss series."""
@@ -61,7 +49,7 @@ def pochhammer(alpha: Scalar, n: int) -> Fraction:
     The n = 0 value is 1 for every alpha, including alpha = 0.
     """
     if n < 0:
-        raise OutOfRangeError(f"pochhammer order must be >= 0, got {n}")
+        raise ValueError(f"pochhammer order must be >= 0, got {n}")
     alpha = parse_rational(alpha)
     p, q = alpha.numerator, alpha.denominator
     # (p/q + i) = (p + i q)/q: multiply the integer numerators, reduce once.
@@ -74,7 +62,7 @@ def pochhammer(alpha: Scalar, n: int) -> Fraction:
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! for n >= 0, with the empty product (-1)!! = 1."""
     if n < 0:
-        raise OutOfRangeError(f"need n >= 0, got {n}")
+        raise ValueError(f"need n >= 0, got {n}")
     acc = 1
     for i in range(1, n + 1):
         acc *= 2 * i - 1
@@ -84,7 +72,7 @@ def double_factorial_odd(n: int) -> int:
 def half_binomial(n: int, k: int) -> Fraction:
     """(2n-1)!! / ((2n-2k-1)!! (2k-1)!!); generally not an integer."""
     if not 0 <= k <= n:
-        raise OutOfRangeError(f"need 0 <= k <= n, got n={n}, k={k}")
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     return Fraction(
         double_factorial_odd(n), double_factorial_odd(n - k) * double_factorial_odd(k)
     )
@@ -92,14 +80,14 @@ def half_binomial(n: int, k: int) -> Fraction:
 
 def _termination_order(a: Fraction) -> int:
     if a.denominator != 1 or a > 0:
-        raise NonTerminatingError(f"first parameter must be a nonpositive integer, got {a}")
+        raise ValueError(f"first parameter must be a nonpositive integer, got {a}")
     return -int(a)
 
 
 def _check_poles(c: Fraction, order: int) -> None:
     # (c)_i vanishes for some i <= order exactly when c in {0, -1, ..., -(order-1)}
     if c.denominator == 1 and -(order - 1) <= int(c) <= 0:
-        raise PoleBeforeTerminationError(
+        raise ValueError(
             f"lower parameter c={c} hits a pole before the series terminates (length {order + 1})"
         )
 
@@ -107,7 +95,7 @@ def _check_poles(c: Fraction, order: int) -> None:
 def hyp2f1_terminating(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> Fraction:
     """Exact value of the terminating Gauss series F(a, b, c; z).
 
-    Requires a in {0, -1, -2, ...}; raises PoleBeforeTerminationError when a
+    Requires a in {0, -1, -2, ...}; raises ValueError otherwise, and when a
     factor of (c)_i vanishes within the |a|+1 summed terms.
     """
     a, b, c, z = map(parse_rational, (a, b, c, z))
@@ -138,13 +126,6 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def pfaff_instance(r: int, m: int, n: int, z: Scalar) -> HypergeometricParams:
-    """Parameters (a, b, c; z) = (-2r, 1/2 + m, 1/2 - n - 2r; z) of the Pfaff bridge."""
-    if r < 1 or m < 0 or n < 0:
-        raise OutOfRangeError(f"need r >= 1 and m, n >= 0, got r={r}, m={m}, n={n}")
-    return HypergeometricParams.make(-2 * r, Fraction(1, 2) + m, Fraction(1, 2) - n - 2 * r, z)
-
-
 def pfaff_check(params: HypergeometricParams) -> bool:
     """Exact check of the Pfaff transformation at the given parameters.
 
@@ -156,7 +137,7 @@ def pfaff_check(params: HypergeometricParams) -> bool:
     a, b, c, z = params.a, params.b, params.c, params.z
     order = _termination_order(a)
     if z == -1:
-        raise OutOfRangeError("z = -1 is outside the Pfaff transformation's domain")
+        raise ValueError("z = -1 is outside the Pfaff transformation's domain")
     lhs = hyp2f1_terminating(a, b, c, -z)
     rhs = (1 + z) ** order * hyp2f1_terminating(a, c - b, c, z / (1 + z))
     return lhs == rhs
@@ -208,4 +189,4 @@ def contiguous_check(relation: ContiguousRelation, params: HypergeometricParams)
         else:
             rhs = (a * b / c) * hyp2f1_poly(a + 1, b + 1, c + 1)
         return lhs == rhs
-    raise OutOfRangeError(f"unknown relation {relation!r}; expected one of {CONTIGUOUS_RELATIONS}")
+    raise ValueError(f"unknown relation {relation!r}; expected one of {CONTIGUOUS_RELATIONS}")

@@ -20,23 +20,10 @@ from fractions import Fraction
 from typing import Literal, Mapping
 
 from .core import Polynomial, Scalar, format_rational, isolate_root, parse_rational
-from .moments import (
-    CovarianceMatrix,
-    InvalidCovarianceError,
-    gaussian_moment,
-    univariate_even_moment,
-)
-from .specialfn import OutOfRangeError, half_binomial, hyp2f1_poly, pochhammer
+from .moments import CovarianceMatrix, gaussian_moment, univariate_even_moment
+from .specialfn import half_binomial, hyp2f1_poly, pochhammer
 
 Relation = Literal[">=", ">", "=="]
-
-
-class UnequalVariancesError(ValueError):
-    """The equal-variance precondition on the 2x2 covariance fails."""
-
-
-class InvalidTripleError(ValueError):
-    """Degenerate-triple constraints (a - b = 1, positive variances) violated."""
 
 
 def _fmt(value) -> object:
@@ -112,11 +99,11 @@ class DegenerateTriple:
 
     def __post_init__(self):
         if self.a - self.b != 1:
-            raise InvalidTripleError(f"need a - b = 1, got a={self.a}, b={self.b}")
+            raise ValueError(f"need a - b = 1, got a={self.a}, b={self.b}")
         if self.sigma2 < 0:
-            raise InvalidTripleError(f"need sigma2 >= 0, got {self.sigma2}")
+            raise ValueError(f"need sigma2 >= 0, got {self.sigma2}")
         if self.sigma2 + self.a**2 == 0 or self.sigma2 + self.b**2 == 0:
-            raise InvalidTripleError("X and Y must have positive variance")
+            raise ValueError("X and Y must have positive variance")
 
     @classmethod
     def from_a(cls, a: Scalar, sigma2: Scalar) -> "DegenerateTriple":
@@ -197,7 +184,7 @@ def build_gamma_polynomials(m: int, n: int, r: int) -> GammaPolynomialSet:
     B rescales G by the positive constant 2^{m+n+2r} (1/2)_m (1/2)_{n+2r}.
     """
     if m < 0 or n < 0 or r < 1:
-        raise OutOfRangeError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     coeffs = []
     for i in range(2 * r + 1):
         inner = sum(
@@ -247,7 +234,7 @@ def check_H_positivity(
     """H's exact zero at 1/2 (m = n), strict positivity at sampled gammas, and
     the convexity witness H'' > 0 at the same samples."""
     if not (m >= n >= 0) or r < 1:
-        raise OutOfRangeError(f"need m >= n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m >= n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     h = build_gamma_polynomials(m, n, r).H
     h2 = h.derivative().derivative()
     half = Fraction(1, 2)
@@ -281,7 +268,7 @@ def check_lemma210(
     sign is the exact certificate that gamma_{n+1} < 1/2.
     """
     if not (m >= n >= 0) or r < 1:
-        raise OutOfRangeError(f"need m >= n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m >= n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     b_next = build_gamma_polynomials(m + 1, n, r).B
     b_curr = build_gamma_polynomials(m, n, r).B
     db = b_next.derivative()
@@ -300,7 +287,7 @@ def check_min_C(m: int, n: int, r: int) -> InequalityVerdict:
     equals hb(min(m,n)+r, r), the value of C at an endpoint (C is unimodal with
     its peak strictly inside)."""
     if m < 1 or n < 1 or r < 1:
-        raise OutOfRangeError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
     lhs = min(half_binomial(m + r - i, r - i) * half_binomial(n + i, i) for i in range(r + 1))
     rhs = half_binomial(min(m, n) + r, r)
     return InequalityVerdict("prop21_constant", {"m": m, "n": n, "r": r}, lhs, rhs, "==")
@@ -308,7 +295,7 @@ def check_min_C(m: int, n: int, r: int) -> InequalityVerdict:
 
 def _require_positive(name: str, value: Fraction) -> Fraction:
     if value <= 0:
-        raise OutOfRangeError(f"{name} must be > 0, got {value}")
+        raise ValueError(f"{name} must be > 0, got {value}")
     return value
 
 
@@ -316,7 +303,7 @@ def check_prop21(m: int, n: int, r: int, a2: Scalar, b2: Scalar) -> InequalityVe
     """E[X^{2m} Y^{2n} (X+Y)^{2r}] >= hb((m^n)+r, r) E[X^{2m}] E[Y^{2n}] E[(X+Y)^{2r}]
     for independent X, Y with variances a2, b2."""
     if m < 1 or n < 1 or r < 1:
-        raise OutOfRangeError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m, n, r >= 1, got m={m}, n={n}, r={r}")
     a2 = _require_positive("a2", parse_rational(a2))
     b2 = _require_positive("b2", parse_rational(b2))
     cov3 = CovarianceMatrix.from_rows(
@@ -342,7 +329,7 @@ def check_thm22(m: int, n: int, r: int, a2: Scalar, b2: Scalar) -> InequalityVer
     {m = n and a2 = b2}, which the verdict records as the condition flag.
     """
     if m < 0 or n < 0 or r < 1:
-        raise OutOfRangeError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     a2 = _require_positive("a2", parse_rational(a2))
     b2 = _require_positive("b2", parse_rational(b2))
     lhs = sum(
@@ -380,12 +367,12 @@ def check_cor23(m: int, n: int, r: int, cov2: CovarianceMatrix) -> InequalityVer
     holds exactly on {m = n and E[ZW] = 0}.
     """
     if m < 0 or n < 0 or r < 1:
-        raise OutOfRangeError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
+        raise ValueError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     if cov2.dim != 2:
-        raise InvalidCovarianceError(f"need a 2x2 covariance, got {cov2.dim}x{cov2.dim}")
+        raise ValueError(f"need a 2x2 covariance, got {cov2.dim}x{cov2.dim}")
     s, c = cov2.entries[0][0], cov2.entries[0][1]
     if cov2.entries[1][1] != s:
-        raise UnequalVariancesError(
+        raise ValueError(
             f"Z and W must share their variance, got {s} and {cov2.entries[1][1]}"
         )
     _require_positive("variance", s)
@@ -419,7 +406,7 @@ def check_lemma31(m: int, n: int, triple: DegenerateTriple) -> InequalityVerdict
         E[X^{2m} Y^{2m} Z^{2n}] > E[X^{2m}] E[Y^{2m}] E[Z^{2n}]
     """
     if m < 1 or n < 1:
-        raise OutOfRangeError(f"need m, n >= 1, got m={m}, n={n}")
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     cov3 = triple.covariance()
     lhs = gaussian_moment(cov3, (2 * m, 2 * m, 2 * n))
     rhs = (
@@ -440,11 +427,11 @@ def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:
     """E[X^{2m} Y^{2m} Z^{2n}] >= E[X^{2m}] E[Y^{2m}] E[Z^{2n}] for any centered
     Gaussian triple with positive variances."""
     if m < 1 or n < 1:
-        raise OutOfRangeError(f"need m, n >= 1, got m={m}, n={n}")
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     if cov3.dim != 3:
-        raise InvalidCovarianceError(f"need a 3x3 covariance, got {cov3.dim}x{cov3.dim}")
+        raise ValueError(f"need a 3x3 covariance, got {cov3.dim}x{cov3.dim}")
     if any(cov3.entries[i][i] == 0 for i in range(3)):
-        raise InvalidCovarianceError("every coordinate must have positive variance")
+        raise ValueError("every coordinate must have positive variance")
     lhs = gaussian_moment(cov3, (2 * m, 2 * m, 2 * n))
     rhs = (
         univariate_even_moment(cov3.entries[0][0], m)

@@ -113,17 +113,33 @@ class TestMoment:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "doc",
-        [{"dim": 1}, [1], {"dim": 1, "entries": [["1/0"]]}],
-        ids=["missing-entries", "not-an-object", "zero-denominator"],
+        "text",
+        [
+            json.dumps({"dim": 1}),
+            json.dumps([1]),
+            json.dumps({"dim": 1, "entries": [["1/0"]]}),
+            # json.load raises RecursionError here, which once exited 3.
+            "[" * 100000 + "]" * 100000,
+            # int() once read these as dim 2, so the moment printed 1.
+            json.dumps({"dim": 2.9, "entries": [["1", "0"], ["0", "1"]]}),
+            json.dumps({"dim": "2", "entries": [["1", "0"], ["0", "1"]]}),
+        ],
+        ids=[
+            "missing-entries",
+            "not-an-object",
+            "zero-denominator",
+            "deep-nesting",
+            "fractional-dim",
+            "string-dim",
+        ],
     )
-    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, doc):
+    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2")
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2,2")
         assert code == 2
         assert out == ""
-        assert err.startswith("gpi-lab: error:")
+        assert err.startswith("gpi-lab: error:") and err.count("\n") == 1
 
     def test_high_degree_has_no_recursion_limit(self, capsys, tmp_path):
         path = tmp_path / "cov1.json"
@@ -131,6 +147,22 @@ class TestMoment:
         code, out, _ = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2000")
         assert code == 0
         assert int(out) == math.prod(range(1, 2000, 2)) * 2**1000  # 1999!! v^1000
+
+    def test_value_past_the_int_string_limit_prints(self, tmp_path):
+        # 2999!! (3/7)^1500 has more digits than int-to-str converts by default.
+        path = tmp_path / "cov1.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [["3/7"]]}))
+        proc = run_python(["-m", "gpi_lab", "moment", "--cov", str(path), "--exps", "3000"])
+        assert proc.returncode == 0, proc.stderr
+        expected = Fraction(math.prod(range(1, 3000, 2)) * 3**1500, 7**1500)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(proc.stdout) == expected
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
     def test_non_psd_covariance_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -503,6 +535,13 @@ class TestVerify:
         assert all(FAMILY_LINE.fullmatch(line) for line in lines[:5] + lines[6:9])
         assert lines[9:] == ["1 family FAILED"]
 
+    @pytest.mark.parametrize("mode", [[], ["--quick"]], ids=["full", "quick"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_bad_sweep_count_fails_before_any_family(self, capsys, mode, count):
+        code, out, err = run_cli(capsys, "verify", *mode, f"--sweep-count={count}")
+        assert (code, out) == (2, "")
+        assert err == f"gpi-lab: error: count must be >= 1, got {count}\n"
+
     def test_failure_survives_optimized_mode(self):
         # -O strips assert statements; verdicts must not depend on them.
         probe = (
@@ -558,6 +597,17 @@ class TestUsage:
             code, _, err = run_cli(capsys, *argv)
             assert code == 3
             assert err == "gpi-lab: internal error: RuntimeError: boom\n"
+
+    def test_division_bug_is_internal_error(self, capsys, monkeypatch):
+        # Only input errors exit 2; a ZeroDivisionError can only be a bug.
+        def broken():
+            return 1 // 0
+
+        monkeypatch.setattr(cli, "counterexample_wei", broken)
+        code, out, err = run_cli(capsys, "counterexample")
+        assert (code, out) == (3, "")
+        assert err.startswith("gpi-lab: internal error: ZeroDivisionError:")
+        assert err.count("\n") == 1
 
     def test_bad_exponent_list(self, capsys, wei_cov_file):
         code, _, err = run_cli(capsys, "moment", "--cov", wei_cov_file, "--exps", "2,x,2")

@@ -14,7 +14,6 @@ from gpi_lab import (
     DegenerateTriple,
     HypergeometricParams,
     Polynomial,
-    SameSignError,
     SplitMix64,
     check_kummer_classical,
     check_lemma210,
@@ -28,7 +27,7 @@ from gpi_lab import (
     pochhammer,
     univariate_even_moment,
 )
-from gpi_lab.specialfn import hyp2f1_poly, pfaff_instance
+from gpi_lab.specialfn import hyp2f1_poly
 
 from conftest import polynomials, rationals
 
@@ -51,7 +50,7 @@ class TestRationalSerialization:
         assert format_rational(Fraction(-1, 2)) == "-1/2"
 
     def test_division_by_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_rational("1/0")
 
     def test_binary_floats_rejected(self):
@@ -85,7 +84,6 @@ class TestRationalSerialization:
             pytest.param(
                 lambda: HypergeometricParams.make(-1, 0.1, 1, 1), id="HypergeometricParams.make"
             ),
-            pytest.param(lambda: pfaff_instance(1, 0, 0, 0.1), id="pfaff_instance"),
             pytest.param(lambda: DegenerateTriple.from_a(0.1, 1), id="DegenerateTriple.from_a"),
             pytest.param(
                 lambda: DegenerateTriple.from_a(2, 0.1), id="DegenerateTriple.from_a.sigma2"
@@ -241,7 +239,7 @@ class TestIsolateRoot:
         assert lo <= HALF <= hi
 
     def test_same_sign_rejected(self):
-        with pytest.raises(SameSignError):
+        with pytest.raises(ValueError, match="share their sign"):
             isolate_root(Polynomial([1, 0, 1]), 0, 1, Fraction(1, 4))
 
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 3)])

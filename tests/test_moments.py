@@ -20,9 +20,6 @@ from hypothesis import strategies as st
 
 from gpi_lab import (
     CovarianceMatrix,
-    DimensionMismatchError,
-    InvalidCovarianceError,
-    NotSymmetricError,
     SplitMix64,
     gaussian_moment,
     is_psd,
@@ -79,7 +76,7 @@ class TestGaussianMoment:
         assert gaussian_moment(WEI_COV, (1, 2, 2)) == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="2 exponents for a 3x3 covariance"):
             gaussian_moment(WEI_COV, (2, 2))
 
     def test_negative_exponent_rejected(self):
@@ -89,7 +86,7 @@ class TestGaussianMoment:
     @pytest.mark.parametrize("route", [gaussian_moment, pairing_moment, wick_moment])
     def test_every_route_shares_the_exponent_check(self, route):
         for exponents in ((2, 2), (2, 2, 2, 2)):
-            with pytest.raises(DimensionMismatchError, match="exponents for a 3x3"):
+            with pytest.raises(ValueError, match="exponents for a 3x3"):
                 route(WEI_COV, exponents)
         with pytest.raises(ValueError, match="nonnegative"):
             route(WEI_COV, (2, -2, 2))
@@ -336,7 +333,7 @@ class TestUnivariateEvenMoment:
                 assert gaussian_moment(cov3, (2 * m, 0, 2 * r)) == expected, (m, r)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidCovarianceError):
+        with pytest.raises(ValueError, match="variance must be >= 0"):
             univariate_even_moment(-1, 1)
 
     def test_matches_engine_and_running_product(self):
@@ -381,9 +378,9 @@ class TestIsPsd:
         assert cert.minor < 0
 
     def test_not_symmetric(self):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
             is_psd([[1, 2], [3, 1]])
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(ValueError, match="matrix is not square"):
             is_psd([[1, 2, 3], [2, 1, 1]])
 
     @given(st.lists(st.integers(-4, 4), min_size=1, max_size=16), st.integers(1, 4))
@@ -477,7 +474,7 @@ class TestPsdAgainstSylvester:
                     assert cert.minor < 0
                     assert cert.minor == principal_minor(rows, cert.indices)
                     zero_pivot_branch[principal_minor(rows, cert.indices[:-1]) == 0] += 1
-                    with pytest.raises(InvalidCovarianceError) as info:
+                    with pytest.raises(ValueError) as info:
                         CovarianceMatrix.from_rows(rows)
                     assert str(info.value) == (
                         f"not PSD: principal minor on rows {cert.indices} is {cert.minor}"
@@ -530,9 +527,9 @@ class TestJsonInterfaces:
         assert CovarianceMatrix.from_json(doc) == CovarianceMatrix.diagonal([1, 1])
 
     def test_covariance_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="declared dim 2 but 1 rows"):
             CovarianceMatrix.from_json({"dim": 2, "entries": [["1"]]})
 
     def test_non_psd_rejected_at_construction(self):
-        with pytest.raises(InvalidCovarianceError):
+        with pytest.raises(ValueError, match="not PSD"):
             CovarianceMatrix.from_rows([[1, 2], [2, 1]])

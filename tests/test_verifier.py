@@ -13,12 +13,8 @@ from hypothesis import strategies as st
 from gpi_lab import (
     CovarianceMatrix,
     DegenerateTriple,
-    InvalidCovarianceError,
-    InvalidTripleError,
-    OutOfRangeError,
     Polynomial,
     SplitMix64,
-    UnequalVariancesError,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
@@ -138,7 +134,7 @@ class TestLemma29Bridge:
         assert v.as_dict()["lhs"] == "1/7"
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="need m, n >= 0 and r >= 1"):
             check_lemma29(0, 0, 0)
 
 
@@ -163,7 +159,7 @@ class TestHPositivity:
                 assert v.holds, (m, n, r, v.as_dict())
 
     def test_rejects_m_below_n(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="need m >= n >= 0 and r >= 1"):
             check_H_positivity(1, 2, 1)
 
     def test_lower_bound_chain(self):
@@ -278,7 +274,7 @@ class TestMinC:
                     assert v.as_dict()["params"] == {"m": m, "n": n, "r": r}
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="need m, n, r >= 1"):
             check_min_C(0, 1, 1)
 
 
@@ -303,9 +299,9 @@ class TestProp21:
                             assert check_prop21(m, n, r, a2, b2).holds, (m, n, r, a2, b2)
 
     def test_parameter_domain(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="need m, n, r >= 1"):
             check_prop21(0, 1, 1, 1, 1)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError, match="a2 must be > 0"):
             check_prop21(1, 1, 1, 0, 1)
 
 
@@ -391,7 +387,7 @@ class TestCor23:
                 assert v.equality == (c == 0)
 
     def test_unequal_variances_rejected(self):
-        with pytest.raises(UnequalVariancesError):
+        with pytest.raises(ValueError, match="Z and W must share their variance"):
             check_cor23(1, 1, 1, CovarianceMatrix.diagonal([1, 2]))
 
 
@@ -421,11 +417,11 @@ class TestLemma31:
         assert v.lhs > v.rhs
 
     def test_invalid_triples(self):
-        with pytest.raises(InvalidTripleError):
+        with pytest.raises(ValueError, match="need a - b = 1"):
             DegenerateTriple(Fraction(1), Fraction(1), Fraction(1))
-        with pytest.raises(InvalidTripleError):
+        with pytest.raises(ValueError, match="X and Y must have positive variance"):
             DegenerateTriple.from_a(0, 0)  # X would be degenerate
-        with pytest.raises(InvalidTripleError):
+        with pytest.raises(ValueError, match="need sigma2 >= 0"):
             DegenerateTriple.from_a(1, -1)
 
     def test_covariance_is_rank_deficient(self):
@@ -453,7 +449,7 @@ class TestThm32AndMain:
 
     def test_zero_variance_rejected(self):
         cov = CovarianceMatrix.diagonal([1, 1, 0])
-        with pytest.raises(InvalidCovarianceError):
+        with pytest.raises(ValueError, match="every coordinate must have positive variance"):
             check_thm32(1, 1, cov)
 
     def test_main_equality_condition(self):
