@@ -27,7 +27,6 @@ from .moments import (
 )
 from .specialfn import (
     CONTIGUOUS_RELATIONS,
-    HypergeometricParams,
     contiguous_check,
     double_factorial_odd,
     half_binomial,

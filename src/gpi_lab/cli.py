@@ -35,7 +35,6 @@ from .identities import (
 from .moments import CovarianceMatrix, gaussian_moment, random_covariance
 from .specialfn import (
     CONTIGUOUS_RELATIONS,
-    HypergeometricParams,
     contiguous_check,
     hyp2f1_terminating,
     pfaff_check,
@@ -246,19 +245,17 @@ def cmd_poly(args) -> int:
 
 
 def cmd_hyp(args) -> int:
-    params = HypergeometricParams.make(args.a, args.b, args.c, args.z)
-    result: dict = {"params": params.as_dict()}
+    abcz = (args.a, args.b, args.c, args.z)
+    result: dict = {"params": {name: format_rational(x) for name, x in zip("abcz", abcz)}}
     ok = True
     if not args.pfaff and args.contiguous is None:
-        result["value"] = format_rational(
-            hyp2f1_terminating(params.a, params.b, params.c, params.z)
-        )
+        result["value"] = format_rational(hyp2f1_terminating(*abcz))
     if args.pfaff:
-        holds = pfaff_check(params)
+        holds = pfaff_check(*abcz)
         result["pfaff_holds"] = holds
         ok = ok and holds
     if args.contiguous is not None:
-        holds = contiguous_check(args.contiguous, params)
+        holds = contiguous_check(args.contiguous, *abcz)
         result["contiguous"] = {"relation": args.contiguous, "holds": holds}
         ok = ok and holds
     print(json.dumps(result))

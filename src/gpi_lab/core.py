@@ -24,13 +24,15 @@ def parse_rational(text: Scalar) -> Fraction:
 
     Unreduced input and negative denominators are accepted and normalized.
     Binary floats are rejected: they silently encode rounding the exact core
-    exists to avoid.  Every rejection, a zero denominator included, is a
-    ValueError.
+    exists to avoid.  So are booleans, which Fraction would read as 0 and 1.
+    Every rejection, a zero denominator included, is a ValueError.
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, float):
-        raise ValueError(f"refusing float {text!r}; pass an exact \"p/q\" string instead")
+    if isinstance(text, (bool, float)):
+        raise ValueError(
+            f"refusing {type(text).__name__} {text!r}; pass an exact \"p/q\" string instead"
+        )
     if isinstance(text, str) and text.count("/") == 1:
         num, den = (int(part.strip()) for part in text.split("/"))
         if den == 0:

@@ -5,14 +5,14 @@ pairing expansion of Genest & Ouimet, 2022) evaluated in integer arithmetic:
 each covariance is scaled once, at construction, to an integer matrix over the
 least common denominator of its entries, every pairing count is summed as a
 Python int, and a single division at the end gives the rational moment.
-Nothing recurses on the degree.  The power tables live on each covariance,
-created at its first moment and extended lazily, so every call on one draw
-shares them and they are freed with the draw.  Covariance validity (exact
-symmetry and positive semidefiniteness) is certified at construction time by
-fraction-free (Bareiss) elimination on the scaled integer matrix, and a matrix
-that fails reports its negative principal minor, read off the elimination's
-pivot.  Rational inputs go through `core.parse_rational`, so binary floats are
-refused and no floating point is involved anywhere.
+Nothing recurses on the degree.  The power tables are fields of each
+covariance, extended lazily by the moments that need them, so every call on
+one draw shares them and they are freed with the draw.  Covariance validity
+(exact symmetry and positive semidefiniteness) is certified at construction
+time by fraction-free (Bareiss) elimination on the scaled integer matrix, and
+a matrix that fails reports its negative principal minor, read off the
+elimination's pivot.  Rational inputs go through `core.parse_rational`, so
+binary floats are refused and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .core import Scalar, SplitMix64, format_rational, parse_rational
+from .core import Scalar, SplitMix64, parse_rational
 from .specialfn import double_factorial_odd
 
 
@@ -120,15 +119,22 @@ def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
-    Construction scales the entries once to the integer matrix `scaled` over
-    their least common denominator `denominator`, and certifies symmetry and
-    positive semidefiniteness on it exactly; singular (rank-deficient)
-    matrices are deliberately allowed.
+    Construction scales the entries once to the integer matrix S = `scaled`
+    over their least common denominator D = `denominator`, and certifies
+    symmetry and positive semidefiniteness on it exactly; singular
+    (rank-deficient) matrices are deliberately allowed.  The moment engine's
+    power tables start at (1,) and grow on demand: for i < j, `_cross[i][j][l]`
+    is l! S_ij^l, and `_self[c][h]` is (2h-1)!! S_cc^h, the number of ways to
+    pair the 2h factors of coordinate c left over after its cross pairs among
+    themselves, times their weight.  Each table is a tuple replaced whole when
+    it grows, so a reader never sees one half extended.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
     denominator: int = field(init=False, repr=False, compare=False)
     scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _cross: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+    _self: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         den, scaled = _integer_form(self.entries)
@@ -141,12 +147,9 @@ class CovarianceMatrix:
             )
         object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "scaled", scaled)
-
-    @cached_property
-    def _tables(self) -> "_PairingTables":
-        # Created on the first moment; a racing first access only builds an
-        # equal table, and the tables hold no reference back to the matrix.
-        return _PairingTables(self.denominator, self.scaled)
+        d = len(scaled)
+        object.__setattr__(self, "_cross", [[(1,)] * d for _ in range(d)])
+        object.__setattr__(self, "_self", [(1,)] * d)
 
     @property
     def dim(self) -> int:
@@ -178,6 +181,8 @@ class CovarianceMatrix:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('covariance "entries" must be a list of rows')
         try:
+            if isinstance(obj["dim"], bool):
+                raise TypeError("a boolean is not a dimension")
             dim = operator.index(obj["dim"])
         except TypeError:
             raise ValueError(f'covariance "dim" must be an integer, got {obj["dim"]!r}') from None
@@ -192,12 +197,6 @@ class CovarianceMatrix:
             )
         return cov
 
-    def as_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[format_rational(x) for x in row] for row in self.entries],
-        }
-
     def is_diagonal(self) -> bool:
         return all(
             self.entries[i][j] == 0
@@ -210,7 +209,10 @@ class CovarianceMatrix:
 def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Exponents:
     """The exponents as a tuple of ints, one nonnegative integer per coordinate of cov."""
     try:
-        ks = tuple(map(operator.index, exponents))
+        ks = tuple(exponents)
+        if any(isinstance(k, bool) for k in ks):
+            raise TypeError("a boolean is not an exponent")
+        ks = tuple(map(operator.index, ks))
     except TypeError:
         raise ValueError(f"exponents must be integers, got {exponents!r}") from None
     if any(k < 0 for k in ks):
@@ -220,122 +222,28 @@ def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Expon
     return ks
 
 
-class _PairingTables:
-    """A covariance's integer form, with power tables grown on demand.
+def _cross_powers(cov: CovarianceMatrix, i: int, j: int, top: int) -> tuple[int, ...]:
+    """cov's table of l! S_ij^l, grown to cover l = top."""
+    table = cov._cross[i][j]
+    if len(table) <= top:
+        s = cov.scaled[i][j]
+        grown = list(table)
+        for l in range(len(table), top + 1):
+            grown.append(grown[-1] * l * s)
+        table = cov._cross[i][j] = tuple(grown)
+    return table
 
-    `scaled` is S = D * cov for the least common denominator D of the entries,
-    both taken from the covariance that holds these tables.  For i < j,
-    `_cross[i][j][l]` is l! S_ij^l; `_self[c][h]` is (2h-1)!! S_cc^h, the
-    number of ways to pair the 2h factors of coordinate c left over after its
-    cross pairs among themselves, times their weight.
-    Tables are tuples replaced whole when they grow, so a reader never sees
-    one half extended.
-    """
 
-    __slots__ = ("denominator", "scaled", "_cross", "_self")
-
-    def __init__(self, denominator: int, scaled: tuple[tuple[int, ...], ...]):
-        self.denominator = denominator
-        self.scaled = scaled
-        d = len(scaled)
-        self._cross = [[(1,)] * d for _ in range(d)]
-        self._self = [(1,)] * d
-
-    def cross(self, i: int, j: int, top: int) -> tuple[int, ...]:
-        table = self._cross[i][j]
-        if len(table) <= top:
-            s = self.scaled[i][j]
-            grown = list(table)
-            for l in range(len(table), top + 1):
-                grown.append(grown[-1] * l * s)
-            table = self._cross[i][j] = tuple(grown)
-        return table
-
-    def self_pairs(self, c: int, top: int) -> tuple[int, ...]:
-        table = self._self[c]
-        if len(table) <= top:
-            s = self.scaled[c][c]
-            grown = list(table)
-            for h in range(len(table), top + 1):
-                grown.append(grown[-1] * (2 * h - 1) * s)
-            table = self._self[c] = tuple(grown)
-        return table
-
-    def moment(self, k: Exponents) -> Fraction:
-        """E[prod X_i^{k_i}] for an exponent vector of even total degree."""
-        scaled = self.scaled
-        coords = [i for i, ki in enumerate(k) if ki > 0]
-        pairs = [
-            (i, j) for a, i in enumerate(coords) for j in coords[a + 1 :] if scaled[i][j] != 0
-        ]
-        last_pair = {}
-        for p, (i, j) in enumerate(pairs):
-            last_pair[i] = last_pair[j] = p
-        base = 1
-        for c in coords:
-            if c not in last_pair:
-                # No cross pairs: X_c^{k_c} pairs only with itself.
-                if k[c] % 2:
-                    return Fraction(0)
-                h = k[c] // 2
-                base *= double_factorial_odd(h) * scaled[c][c] ** h
-        scale = self.denominator ** (sum(k) // 2)
-        if not pairs:
-            return Fraction(base, scale)
-
-        # Level p chooses l = l_ij for pairs[p] = (i, j) from the exponents r_i,
-        # r_j still unpaired, with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the
-        # last pair of a coordinate its remainder r - l must be even, and it is
-        # closed with weight (r-l-1)!! S_cc^((r-l)/2).  The product of these
-        # weights along a path is the pairing count
-        # prod k_i! / (prod l_ij! 2^h prod h_i!) times its covariance product.
-        levels = []
-        for p, (i, j) in enumerate(pairs):
-            levels.append(
-                (
-                    i,
-                    j,
-                    self.cross(i, j, min(k[i], k[j])),
-                    self.self_pairs(i, k[i] // 2) if last_pair[i] == p else None,
-                    self.self_pairs(j, k[j] // 2) if last_pair[j] == p else None,
-                )
-            )
-        innermost = len(levels) - 1
-        comb = math.comb
-        total = 0
-        stack = [(0, base, list(k))]
-        while stack:
-            p, acc, rem = stack.pop()
-            i, j, cross, close_i, close_j = levels[p]
-            ri, rj = rem[i], rem[j]
-            if close_i is not None:
-                if close_j is not None and (ri - rj) % 2:
-                    continue
-                counts = range(ri % 2, min(ri, rj) + 1, 2)
-            elif close_j is not None:
-                counts = range(rj % 2, min(ri, rj) + 1, 2)
-            else:
-                counts = range(min(ri, rj) + 1)
-            if p == innermost:
-                # The last pair closes both of its coordinates.
-                total += acc * sum(
-                    comb(ri, l) * comb(rj, l) * cross[l]
-                    * close_i[(ri - l) >> 1] * close_j[(rj - l) >> 1]
-                    for l in counts
-                )
-                continue
-            for l in counts:
-                weight = acc * comb(ri, l) * comb(rj, l) * cross[l]
-                if close_i is not None:
-                    weight *= close_i[(ri - l) >> 1]
-                if close_j is not None:
-                    weight *= close_j[(rj - l) >> 1]
-                if weight:
-                    lowered = rem.copy()
-                    lowered[i] = ri - l
-                    lowered[j] = rj - l
-                    stack.append((p + 1, weight, lowered))
-        return Fraction(total, scale)
+def _self_powers(cov: CovarianceMatrix, c: int, top: int) -> tuple[int, ...]:
+    """cov's table of (2h-1)!! S_cc^h, grown to cover h = top."""
+    table = cov._self[c]
+    if len(table) <= top:
+        s = cov.scaled[c][c]
+        grown = list(table)
+        for h in range(len(table), top + 1):
+            grown.append(grown[-1] * (2 * h - 1) * s)
+        table = cov._self[c] = tuple(grown)
+    return table
 
 
 def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
@@ -355,7 +263,77 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
     k = validate_exponents(cov, exponents)
     if sum(k) % 2 == 1:
         return Fraction(0)
-    return cov._tables.moment(k)
+    scaled = cov.scaled
+    coords = [i for i, ki in enumerate(k) if ki > 0]
+    pairs = [(i, j) for a, i in enumerate(coords) for j in coords[a + 1 :] if scaled[i][j] != 0]
+    last_pair = {}
+    for p, (i, j) in enumerate(pairs):
+        last_pair[i] = last_pair[j] = p
+    base = 1
+    for c in coords:
+        if c not in last_pair:
+            # No cross pairs: X_c^{k_c} pairs only with itself.
+            if k[c] % 2:
+                return Fraction(0)
+            h = k[c] // 2
+            base *= double_factorial_odd(h) * scaled[c][c] ** h
+    scale = cov.denominator ** (sum(k) // 2)
+    if not pairs:
+        return Fraction(base, scale)
+
+    # Level p chooses l = l_ij for pairs[p] = (i, j) from the exponents r_i,
+    # r_j still unpaired, with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the
+    # last pair of a coordinate its remainder r - l must be even, and it is
+    # closed with weight (r-l-1)!! S_cc^((r-l)/2).  The product of these
+    # weights along a path is the pairing count
+    # prod k_i! / (prod l_ij! 2^h prod h_i!) times its covariance product.
+    levels = []
+    for p, (i, j) in enumerate(pairs):
+        levels.append(
+            (
+                i,
+                j,
+                _cross_powers(cov, i, j, min(k[i], k[j])),
+                _self_powers(cov, i, k[i] // 2) if last_pair[i] == p else None,
+                _self_powers(cov, j, k[j] // 2) if last_pair[j] == p else None,
+            )
+        )
+    innermost = len(levels) - 1
+    comb = math.comb
+    total = 0
+    stack = [(0, base, list(k))]
+    while stack:
+        p, acc, rem = stack.pop()
+        i, j, cross, close_i, close_j = levels[p]
+        ri, rj = rem[i], rem[j]
+        if close_i is not None:
+            if close_j is not None and (ri - rj) % 2:
+                continue
+            counts = range(ri % 2, min(ri, rj) + 1, 2)
+        elif close_j is not None:
+            counts = range(rj % 2, min(ri, rj) + 1, 2)
+        else:
+            counts = range(min(ri, rj) + 1)
+        if p == innermost:
+            # The last pair closes both of its coordinates.
+            total += acc * sum(
+                comb(ri, l) * comb(rj, l) * cross[l]
+                * close_i[(ri - l) >> 1] * close_j[(rj - l) >> 1]
+                for l in counts
+            )
+            continue
+        for l in counts:
+            weight = acc * comb(ri, l) * comb(rj, l) * cross[l]
+            if close_i is not None:
+                weight *= close_i[(ri - l) >> 1]
+            if close_j is not None:
+                weight *= close_j[(rj - l) >> 1]
+            if weight:
+                lowered = rem.copy()
+                lowered[i] = ri - l
+                lowered[j] = rj - l
+                stack.append((p + 1, weight, lowered))
+    return Fraction(total, scale)
 
 
 def univariate_even_moment(variance: Scalar, m: int) -> Fraction:

@@ -10,37 +10,14 @@ identities between rationals or between coefficient lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .core import Polynomial, Scalar, format_rational, parse_rational
+from .core import Polynomial, Scalar, parse_rational
 
 ContiguousRelation = Literal["R38", "R32", "R40", "DIFF"]
 
 CONTIGUOUS_RELATIONS = ("R38", "R32", "R40", "DIFF")
-
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameter bundle (a, b, c; z) for a terminating Gauss series."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    z: Fraction
-
-    @classmethod
-    def make(cls, a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> "HypergeometricParams":
-        return cls(parse_rational(a), parse_rational(b), parse_rational(c), parse_rational(z))
-
-    def as_dict(self) -> dict:
-        return {
-            "a": format_rational(self.a),
-            "b": format_rational(self.b),
-            "c": format_rational(self.c),
-            "z": format_rational(self.z),
-        }
 
 
 def pochhammer(alpha: Scalar, n: int) -> Fraction:
@@ -126,7 +103,7 @@ def hyp2f1_poly(a: Scalar, b: Scalar, c: Scalar) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def pfaff_check(params: HypergeometricParams) -> bool:
+def pfaff_check(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> bool:
     """Exact check of the Pfaff transformation at the given parameters.
 
         F(a, b, c; -z) = (1+z)^{-a} F(a, c-b, c; z/(1+z))
@@ -134,7 +111,7 @@ def pfaff_check(params: HypergeometricParams) -> bool:
     With (a, b, c) = (-2r, 1/2+m, 1/2-n-2r) this is the identity that carries
     the moment expansion onto the c-minus-b form; z = -1 is excluded.
     """
-    a, b, c, z = params.a, params.b, params.c, params.z
+    a, b, c, z = map(parse_rational, (a, b, c, z))
     order = _termination_order(a)
     if z == -1:
         raise ValueError("z = -1 is outside the Pfaff transformation's domain")
@@ -151,16 +128,18 @@ def _scaled(coef: Fraction, a: Fraction, b: Fraction, c: Fraction, z: Fraction) 
     return coef * hyp2f1_terminating(a, b, c, z)
 
 
-def contiguous_check(relation: ContiguousRelation, params: HypergeometricParams) -> bool:
+def contiguous_check(
+    relation: ContiguousRelation, a: Scalar, b: Scalar, c: Scalar, z: Scalar
+) -> bool:
     """Exact check of one Gauss contiguous relation (or the derivative formula).
 
     R38:  c(1-z) F - c F(a-1) + (c-b) z F(c+1) = 0
     R32:  (b-a) F + a F(a+1) - b F(b+1) = 0
     R40:  [c - 2b + (b-a) z] F + b(1-z) F(b+1) - (c-b) F(b-1) = 0
     DIFF: d/dz F(a,b,c;z) = (ab/c) F(a+1,b+1,c+1;z), compared coefficient-by-
-          coefficient as polynomials in z (params.z is ignored).
+          coefficient as polynomials in z (z is ignored).
     """
-    a, b, c, z = params.a, params.b, params.c, params.z
+    a, b, c, z = map(parse_rational, (a, b, c, z))
     if relation == "R38":
         value = (
             _scaled(c * (1 - z), a, b, c, z)

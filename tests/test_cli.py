@@ -113,16 +113,19 @@ class TestMoment:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "text",
+        ("text", "exps"),
         [
-            json.dumps({"dim": 1}),
-            json.dumps([1]),
-            json.dumps({"dim": 1, "entries": [["1/0"]]}),
+            (json.dumps({"dim": 1}), "2,2"),
+            (json.dumps([1]), "2,2"),
+            (json.dumps({"dim": 1, "entries": [["1/0"]]}), "2,2"),
             # json.load raises RecursionError here, which once exited 3.
-            "[" * 100000 + "]" * 100000,
+            ("[" * 100000 + "]" * 100000, "2,2"),
             # int() once read these as dim 2, so the moment printed 1.
-            json.dumps({"dim": 2.9, "entries": [["1", "0"], ["0", "1"]]}),
-            json.dumps({"dim": "2", "entries": [["1", "0"], ["0", "1"]]}),
+            (json.dumps({"dim": 2.9, "entries": [["1", "0"], ["0", "1"]]}), "2,2"),
+            (json.dumps({"dim": "2", "entries": [["1", "0"], ["0", "1"]]}), "2,2"),
+            # A JSON true once read as the integer 1, so these printed 12 and 1.
+            (json.dumps({"dim": True, "entries": [["2"]]}), "4"),
+            (json.dumps({"dim": 1, "entries": [[True]]}), "2"),
         ],
         ids=[
             "missing-entries",
@@ -131,12 +134,14 @@ class TestMoment:
             "deep-nesting",
             "fractional-dim",
             "string-dim",
+            "true-dim",
+            "true-entry",
         ],
     )
-    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, text):
+    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, text, exps):
         path = tmp_path / "malformed.json"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2,2")
+        code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", exps)
         assert code == 2
         assert out == ""
         assert err.startswith("gpi-lab: error:") and err.count("\n") == 1

@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from gpi_lab import (
     CovarianceMatrix,
     DegenerateTriple,
-    HypergeometricParams,
     Polynomial,
     SplitMix64,
     check_kummer_classical,
     check_lemma210,
     check_prop21,
     check_thm22,
+    contiguous_check,
     format_rational,
     hyp2f1_terminating,
     is_psd,
     isolate_root,
     parse_rational,
+    pfaff_check,
     pochhammer,
     univariate_even_moment,
 )
@@ -57,6 +58,12 @@ class TestRationalSerialization:
         with pytest.raises(ValueError):
             parse_rational(0.1)
 
+    def test_booleans_rejected(self):
+        # Fraction(True) is 1, so a JSON true once passed as a rational.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"refusing bool {flag}"):
+                parse_rational(flag)
+
     def test_decimal_strings_are_exact(self):
         assert parse_rational("0.1") == Fraction(1, 10)
 
@@ -81,9 +88,8 @@ class TestRationalSerialization:
             pytest.param(lambda: pochhammer(0.1, 1), id="pochhammer"),
             pytest.param(lambda: hyp2f1_terminating(-1, 0.1, 1, 1), id="hyp2f1_terminating"),
             pytest.param(lambda: hyp2f1_poly(-1, 0.1, 1), id="hyp2f1_poly"),
-            pytest.param(
-                lambda: HypergeometricParams.make(-1, 0.1, 1, 1), id="HypergeometricParams.make"
-            ),
+            pytest.param(lambda: pfaff_check(-1, 0.1, 1, 1), id="pfaff_check"),
+            pytest.param(lambda: contiguous_check("R32", -1, 0.1, 1, 1), id="contiguous_check"),
             pytest.param(lambda: DegenerateTriple.from_a(0.1, 1), id="DegenerateTriple.from_a"),
             pytest.param(
                 lambda: DegenerateTriple.from_a(2, 0.1), id="DegenerateTriple.from_a.sigma2"

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpi_lab import (
-    HypergeometricParams,
     SplitMix64,
     contiguous_check,
     double_factorial_odd,
@@ -171,20 +170,20 @@ class TestTerminatingSeries:
 
 def pfaff_bridge(r, m, n, z):
     """(a, b, c; z) = (-2r, 1/2 + m, 1/2 - n - 2r; z), the Pfaff step of the moment bridge."""
-    return HypergeometricParams.make(-2 * r, HALF + m, HALF - n - 2 * r, z)
+    return -2 * r, HALF + m, HALF - n - 2 * r, z
 
 
 class TestPfaff:
     def test_examples(self):
-        assert pfaff_check(pfaff_bridge(1, 0, 0, Fraction(1, 3)))
-        assert pfaff_check(pfaff_bridge(1, 1, 0, HALF))
+        assert pfaff_check(*pfaff_bridge(1, 0, 0, Fraction(1, 3)))
+        assert pfaff_check(*pfaff_bridge(1, 1, 0, HALF))
 
     def test_z_zero_trivial(self):
-        assert pfaff_check(pfaff_bridge(2, 1, 3, 0))
+        assert pfaff_check(*pfaff_bridge(2, 1, 3, 0))
 
     def test_z_minus_one_rejected(self):
         with pytest.raises(ValueError, match="z = -1 is outside"):
-            pfaff_check(pfaff_bridge(1, 0, 0, -1))
+            pfaff_check(*pfaff_bridge(1, 0, 0, -1))
 
     def test_random_sweep(self):
         gen = SplitMix64(0x5EEDFACE)
@@ -196,31 +195,30 @@ class TestPfaff:
             z = Fraction(gen.randint(-6, 6), gen.randint(1, 6))
             if z == -1:
                 continue
-            assert pfaff_check(pfaff_bridge(r, m, n, z))
+            assert pfaff_check(*pfaff_bridge(r, m, n, z))
             checked += 1
 
 
 class TestContiguous:
-    PARAMS = HypergeometricParams.make(-2, -3, Fraction(-7, 2), Fraction(1, 4))
+    PARAMS = (-2, -3, Fraction(-7, 2), Fraction(1, 4))
 
     def test_r32_example(self):
-        assert contiguous_check("R32", self.PARAMS)
+        assert contiguous_check("R32", *self.PARAMS)
 
     def test_r38_and_r40(self):
-        assert contiguous_check("R38", self.PARAMS)
-        assert contiguous_check("R40", self.PARAMS)
+        assert contiguous_check("R38", *self.PARAMS)
+        assert contiguous_check("R40", *self.PARAMS)
 
     def test_diff_as_coefficient_identity(self):
-        assert contiguous_check("DIFF", HypergeometricParams.make(-2, -2, Fraction(-3, 2), 0))
+        assert contiguous_check("DIFF", -2, -2, Fraction(-3, 2), 0)
 
     def test_trivial_at_z_zero(self):
-        params = HypergeometricParams.make(-3, Fraction(5, 2), Fraction(9, 2), 0)
         for relation in ("R38", "R32", "R40"):
-            assert contiguous_check(relation, params)
+            assert contiguous_check(relation, -3, Fraction(5, 2), Fraction(9, 2), 0)
 
     def test_unknown_relation(self):
         with pytest.raises(ValueError, match="unknown relation 'R99'"):
-            contiguous_check("R99", self.PARAMS)
+            contiguous_check("R99", *self.PARAMS)
 
     SWEEP_SEEDS = {"R38": 38, "R32": 32, "R40": 40, "DIFF": 20}
 
@@ -232,5 +230,4 @@ class TestContiguous:
             b = Fraction(gen.randint(-8, 8), gen.randint(1, 4))
             c = Fraction(gen.randint(-6, 5)) + HALF
             z = Fraction(gen.randint(-6, 6), gen.randint(1, 5))
-            params = HypergeometricParams(a, b, c, z)
-            assert contiguous_check(relation, params), (relation, params)
+            assert contiguous_check(relation, a, b, c, z), (relation, a, b, c, z)
