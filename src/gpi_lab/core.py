@@ -203,6 +203,8 @@ class SplitMix64:
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > _MASK64 + 1:
+            raise ValueError(f"range [{lo}, {hi}] holds more than 2^64 integers")
         limit = ((_MASK64 + 1) // span) * span
         while True:
             u = self.next_u64()

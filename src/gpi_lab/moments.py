@@ -5,9 +5,16 @@ pairing expansion of Genest & Ouimet, 2022) evaluated in integer arithmetic:
 each covariance is scaled once, at construction, to an integer matrix over the
 least common denominator of its entries, every pairing count is summed as a
 Python int, and a single division at the end gives the rational moment.
-Nothing recurses on the degree.  The power tables are fields of each
-covariance, extended lazily by the moments that need them, so every call on
-one draw shares them and they are freed with the draw.  Covariance validity
+Nothing recurses on the degree.  The power tables, and a plan for each set
+of coordinates asked about (its cross pairs, its level tables and the
+memoised sub-sums of its levels), are fields of each covariance, extended
+lazily by the moments that need them.  So every call on one draw shares them:
+the 36 calls of a heavy sweep draw reuse one another's 2-D moments of the last
+pair.  They hold no reference to the covariance, so they are freed with the
+draw.  Their size is bounded by the exponents asked: a table reaches at most
+twice the largest exponent asked of its coordinates, and a level holds at
+most one sum per tuple of remainders of its open coordinates, each remainder
+at most the largest exponent asked of its coordinate.  Covariance validity
 (exact symmetry and positive semidefiniteness) is certified at construction
 time by fraction-free (Bareiss) elimination on the scaled integer matrix, and
 a matrix that fails reports its negative principal minor, read off the
@@ -19,9 +26,10 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import compress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Scalar, SplitMix64, parse_rational
 from .specialfn import double_factorial_odd
@@ -127,7 +135,11 @@ class CovarianceMatrix:
     is l! S_ij^l, and `_self[c][h]` is (2h-1)!! S_cc^h, the number of ways to
     pair the 2h factors of coordinate c left over after its cross pairs among
     themselves, times their weight.  Each table is a tuple replaced whole when
-    it grows, so a reader never sees one half extended.
+    it grows, so a reader never sees one half extended.  `_plans` maps each
+    tuple of coordinates with a nonzero exponent to its `_Plan`: the cross
+    pairs, the coordinates with no cross pair, the level tables and the
+    memoised sub-sums of each level.  A plan is rebuilt, keeping its sums, only
+    when a call needs longer tables than it holds.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -135,6 +147,7 @@ class CovarianceMatrix:
     scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _cross: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
     _self: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _plans: dict[tuple[int, ...], "_Plan"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         den, scaled = _integer_form(self.entries)
@@ -150,6 +163,7 @@ class CovarianceMatrix:
         d = len(scaled)
         object.__setattr__(self, "_cross", [[(1,)] * d for _ in range(d)])
         object.__setattr__(self, "_self", [(1,)] * d)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def dim(self) -> int:
@@ -246,6 +260,151 @@ def _self_powers(cov: CovarianceMatrix, c: int, top: int) -> tuple[int, ...]:
     return table
 
 
+class _Plan(NamedTuple):
+    """The traversal of the pairing-count sum for one set of coordinates.
+
+    `levels[p]` is (i, j, l! S_ij^l table, closing table of i or None, closing
+    table of j or None) for the p-th nonzero cross pair; `uncrossed` are the
+    coordinates with no nonzero cross entry; the tables cover every exponent
+    up to `caps`.  `sums[p]` maps a tuple of remainders, with the coordinates
+    closed before level p (and the uncrossed ones) set to 0, to the sum over
+    levels p and below.  A sub-sum does not depend on the path above it, so it
+    holds for every call on the covariance.
+    """
+
+    caps: Exponents
+    uncrossed: tuple[int, ...]
+    levels: tuple[tuple, ...]
+    sums: tuple[dict[Exponents, int], ...]
+
+
+def _plan(cov: CovarianceMatrix, k: Exponents) -> _Plan:
+    """cov's plan for the coordinates with a nonzero exponent in k, rebuilt
+    (keeping its sums) only when its tables do not reach k."""
+    coords = tuple(compress(range(len(k)), k))
+    plan = cov._plans.get(coords)
+    if plan is not None and all(map(operator.le, k, plan.caps)):
+        return plan
+    # Regrown tables reach twice the old ones, so an ascending run of calls
+    # rebuilds a logarithmic number of times.
+    caps = k if plan is None else tuple(max(kc, 2 * cap) for kc, cap in zip(k, plan.caps))
+    scaled = cov.scaled
+    pairs = [(i, j) for a, i in enumerate(coords) for j in coords[a + 1 :] if scaled[i][j] != 0]
+    last_pair = {}
+    for p, (i, j) in enumerate(pairs):
+        last_pair[i] = last_pair[j] = p
+    levels = tuple(
+        (
+            i,
+            j,
+            _cross_powers(cov, i, j, min(caps[i], caps[j])),
+            _self_powers(cov, i, caps[i] // 2) if last_pair[i] == p else None,
+            _self_powers(cov, j, caps[j] // 2) if last_pair[j] == p else None,
+        )
+        for p, (i, j) in enumerate(pairs)
+    )
+    plan = cov._plans[coords] = _Plan(
+        caps,
+        tuple(c for c in coords if c not in last_pair),
+        levels,
+        tuple({} for _ in pairs) if plan is None else plan.sums,
+    )
+    return plan
+
+
+def _pair_sum(plan: _Plan, top: Exponents) -> int:
+    """The sum over plan's cross pairs from the remainders `top`.
+
+    Level p chooses l = l_ij for its pair (i, j) from the remainders r_i, r_j,
+    with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the last pair of a
+    coordinate its remainder r - l must be even, and it is closed with weight
+    (r-l-1)!! S_cc^((r-l)/2).  The product of these weights along a path is
+    the pairing count prod k_i! / (prod l_ij! 2^h prod h_i!) times its
+    covariance product.  A forward pass collects, level by level, the
+    remainders missing from `plan.sums` and computes those of the innermost
+    level, the scaled 2-D moments of the last pair, as it meets them; a
+    backward pass then sums the levels above.
+    """
+    levels, sums = plan.levels, plan.sums
+    if top in sums[0]:
+        return sums[0][top]
+    comb = math.comb
+    innermost = len(levels) - 1
+    # The last pair closes both of its coordinates.
+    li, lj, last_cross, last_i, last_j = levels[innermost]
+
+    def last(key: Exponents) -> int:
+        a, b = key[li], key[lj]
+        value = 0
+        if not (a - b) % 2:
+            for t in range(a % 2, min(a, b) + 1, 2):
+                value += (
+                    comb(a, t) * comb(b, t) * last_cross[t]
+                    * last_i[(a - t) >> 1] * last_j[(b - t) >> 1]
+                )
+        return value
+
+    if not innermost:
+        value = sums[0][top] = last(top)
+        return value
+    pending = []
+    wanted = [top]
+    for p in range(innermost):
+        i, j, cross, close_i, close_j = levels[p]
+        known, below = sums[p], sums[p + 1]
+        deferred = []
+        fresh = {}
+        for key in wanted:
+            ri, rj = key[i], key[j]
+            if close_i is not None:
+                if close_j is not None and (ri - rj) % 2:
+                    counts = ()
+                else:
+                    counts = range(ri % 2, min(ri, rj) + 1, 2)
+            elif close_j is not None:
+                counts = range(rj % 2, min(ri, rj) + 1, 2)
+            else:
+                counts = range(min(ri, rj) + 1)
+            total = 0
+            owed = []
+            for l in counts:
+                weight = comb(ri, l) * comb(rj, l) * cross[l]
+                child = list(key)
+                if close_i is None:
+                    child[i] = ri - l
+                else:
+                    weight *= close_i[(ri - l) >> 1]
+                    child[i] = 0
+                if close_j is None:
+                    child[j] = rj - l
+                else:
+                    weight *= close_j[(rj - l) >> 1]
+                    child[j] = 0
+                child = tuple(child)
+                value = below.get(child)
+                if value is None:
+                    if p + 1 < innermost:
+                        fresh[child] = None
+                        owed.append((weight, child))
+                        continue
+                    value = below[child] = last(child)
+                total += weight * value
+            if owed:
+                deferred.append((key, total, owed))
+            else:
+                known[key] = total
+        pending.append(deferred)
+        wanted = fresh
+    # Every sub-sum still owed waits only on levels below it.
+    for p in range(len(pending) - 1, -1, -1):
+        known, below = sums[p], sums[p + 1]
+        for key, total, owed in pending[p]:
+            for weight, child in owed:
+                total += weight * below[child]
+            known[key] = total
+    return sums[0][top]
+
+
 def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
     """E[prod X_i^{k_i}] for a centered Gaussian vector with the given covariance.
 
@@ -257,83 +416,27 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
                    * prod cov[i][j]^l_ij * prod cov[i][i]^h_i
 
     Counts with l_ij > 0 on a zero entry are skipped.  Summed in integers over
-    the scaled covariance and divided once at the end.  Odd total degree gives
-    0; the empty product gives 1.
+    the scaled covariance, through cov's plan for these coordinates, and
+    divided once at the end.  Odd total degree gives 0; the empty product
+    gives 1.
     """
     k = validate_exponents(cov, exponents)
     if sum(k) % 2 == 1:
         return Fraction(0)
+    plan = _plan(cov, k)
     scaled = cov.scaled
-    coords = [i for i, ki in enumerate(k) if ki > 0]
-    pairs = [(i, j) for a, i in enumerate(coords) for j in coords[a + 1 :] if scaled[i][j] != 0]
-    last_pair = {}
-    for p, (i, j) in enumerate(pairs):
-        last_pair[i] = last_pair[j] = p
     base = 1
-    for c in coords:
-        if c not in last_pair:
-            # No cross pairs: X_c^{k_c} pairs only with itself.
-            if k[c] % 2:
-                return Fraction(0)
-            h = k[c] // 2
-            base *= double_factorial_odd(h) * scaled[c][c] ** h
-    scale = cov.denominator ** (sum(k) // 2)
-    if not pairs:
-        return Fraction(base, scale)
-
-    # Level p chooses l = l_ij for pairs[p] = (i, j) from the exponents r_i,
-    # r_j still unpaired, with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the
-    # last pair of a coordinate its remainder r - l must be even, and it is
-    # closed with weight (r-l-1)!! S_cc^((r-l)/2).  The product of these
-    # weights along a path is the pairing count
-    # prod k_i! / (prod l_ij! 2^h prod h_i!) times its covariance product.
-    levels = []
-    for p, (i, j) in enumerate(pairs):
-        levels.append(
-            (
-                i,
-                j,
-                _cross_powers(cov, i, j, min(k[i], k[j])),
-                _self_powers(cov, i, k[i] // 2) if last_pair[i] == p else None,
-                _self_powers(cov, j, k[j] // 2) if last_pair[j] == p else None,
-            )
-        )
-    innermost = len(levels) - 1
-    comb = math.comb
-    total = 0
-    stack = [(0, base, list(k))]
-    while stack:
-        p, acc, rem = stack.pop()
-        i, j, cross, close_i, close_j = levels[p]
-        ri, rj = rem[i], rem[j]
-        if close_i is not None:
-            if close_j is not None and (ri - rj) % 2:
-                continue
-            counts = range(ri % 2, min(ri, rj) + 1, 2)
-        elif close_j is not None:
-            counts = range(rj % 2, min(ri, rj) + 1, 2)
-        else:
-            counts = range(min(ri, rj) + 1)
-        if p == innermost:
-            # The last pair closes both of its coordinates.
-            total += acc * sum(
-                comb(ri, l) * comb(rj, l) * cross[l]
-                * close_i[(ri - l) >> 1] * close_j[(rj - l) >> 1]
-                for l in counts
-            )
-            continue
-        for l in counts:
-            weight = acc * comb(ri, l) * comb(rj, l) * cross[l]
-            if close_i is not None:
-                weight *= close_i[(ri - l) >> 1]
-            if close_j is not None:
-                weight *= close_j[(rj - l) >> 1]
-            if weight:
-                lowered = rem.copy()
-                lowered[i] = ri - l
-                lowered[j] = rj - l
-                stack.append((p + 1, weight, lowered))
-    return Fraction(total, scale)
+    top = list(k)
+    for c in plan.uncrossed:
+        # No cross pairs: X_c^{k_c} pairs only with itself.
+        if k[c] % 2:
+            return Fraction(0)
+        h = k[c] // 2
+        base *= double_factorial_odd(h) * scaled[c][c] ** h
+        top[c] = 0
+    if plan.levels and base:
+        base *= _pair_sum(plan, tuple(top))
+    return Fraction(base, cov.denominator ** (sum(k) // 2))
 
 
 def univariate_even_moment(variance: Scalar, m: int) -> Fraction:

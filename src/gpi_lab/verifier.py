@@ -21,7 +21,7 @@ from typing import Literal, Mapping
 
 from .core import Polynomial, Scalar, format_rational, isolate_root, parse_rational
 from .moments import CovarianceMatrix, gaussian_moment, univariate_even_moment
-from .specialfn import half_binomial, hyp2f1_poly, pochhammer
+from .specialfn import double_factorial_odd, half_binomial, hyp2f1_poly, pochhammer
 
 Relation = Literal[">=", ">", "=="]
 
@@ -430,13 +430,15 @@ def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     if cov3.dim != 3:
         raise ValueError(f"need a 3x3 covariance, got {cov3.dim}x{cov3.dim}")
-    if any(cov3.entries[i][i] == 0 for i in range(3)):
+    s = cov3.scaled
+    if any(s[i][i] == 0 for i in range(3)):
         raise ValueError("every coordinate must have positive variance")
     lhs = gaussian_moment(cov3, (2 * m, 2 * m, 2 * n))
-    rhs = (
-        univariate_even_moment(cov3.entries[0][0], m)
-        * univariate_even_moment(cov3.entries[1][1], m)
-        * univariate_even_moment(cov3.entries[2][2], n)
+    # (2m-1)!!^2 (2n-1)!! s00^m s11^m s22^n over D^(2m+n), with s = D * cov3.
+    rhs = Fraction(
+        double_factorial_odd(m) ** 2 * double_factorial_odd(n)
+        * (s[0][0] * s[1][1]) ** m * s[2][2] ** n,
+        cov3.denominator ** (2 * m + n),
     )
     return InequalityVerdict("thm32", {"m": m, "n": n}, lhs, rhs)
 
