@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Scalar, SplitMix64, parse_rational

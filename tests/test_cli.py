@@ -453,6 +453,20 @@ class TestSweep:
         proc = run_python(["-m", "gpi_lab", *argv])
         assert_one_line_error(proc, 2, "gpi-lab: error: q must be >= 1, got 0")
 
+    @pytest.mark.parametrize("draws", [["--diagonal"], []], ids=["diagonal", "gram"])
+    @pytest.mark.parametrize("q", [str(2**63), str(10**20)])
+    def test_q_beyond_64_bits_is_usage_error(self, draws, q):
+        # Before the check, randint's rejection limit was 0 and the draw never ended.
+        argv = ["sweep", "--seed", "1", "--count", "1", "--q", q, *draws]
+        proc = run_python(["-m", "gpi_lab", *argv])
+        assert proc.stdout == ""
+        assert_one_line_error(proc, 2, f"gpi-lab: error: range [-{q}, {q}] holds more than 2^64")
+
+    def test_largest_q_within_64_bits_draws(self, capsys):
+        q = str(2**63 - 1)
+        code, out, _ = run_cli(capsys, "sweep", "--seed", "1", "--count", "1", "--q", q)
+        assert code == 0 and out.count("\n") == 4
+
     def test_zero_count_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "0")
         assert code == 2

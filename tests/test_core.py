@@ -306,3 +306,14 @@ class TestSplitMix64:
     def test_randint_empty_range_rejected(self):
         with pytest.raises(ValueError):
             SplitMix64(0).randint(2, 1)
+
+    def test_randint_span_of_2_to_the_64_is_the_largest(self):
+        # A span of 2^64 takes every draw as it is; one more used to make the
+        # rejection limit 0, so the loop never returned.
+        reference = SplitMix64(9)
+        gen = SplitMix64(9)
+        assert gen.randint(0, 2**64 - 1) == reference.next_u64()
+        assert gen.randint(-(2**63), 2**63 - 1) == reference.next_u64() - 2**63
+        for lo, hi in [(0, 2**64), (-(2**63), 2**63), (-(10**20), 10**20)]:
+            with pytest.raises(ValueError, match="holds more than 2\\^64 integers"):
+                gen.randint(lo, hi)

@@ -247,6 +247,89 @@ class TestIndependentRoutes:
         assert gaussian_moment(CovarianceMatrix(a.entries), (6, 4, 2)) == wick_moment(a, (6, 4, 2))
 
 
+def _query_orders(exponents: list[tuple[int, ...]]) -> dict[str, list[tuple[int, ...]]]:
+    """The same queries ascending, descending and interleaved (small, large,
+    next small, ...) by total degree, so a covariance's plans regrow midway."""
+    ascending = sorted(exponents, key=lambda ks: (sum(ks), ks))
+    interleaved = []
+    lo, hi = 0, len(ascending) - 1
+    while lo <= hi:
+        interleaved.append(ascending[lo])
+        if lo < hi:
+            interleaved.append(ascending[hi])
+        lo, hi = lo + 1, hi - 1
+    return {
+        "ascending": ascending,
+        "descending": ascending[::-1],
+        "interleaved": interleaved,
+    }
+
+
+MEMO_CASES = {
+    "full 3x3": [[5, 2, -1], [2, 3, 1], [-1, 1, 2]],
+    # S_02 = 0, D = 12: coordinate 0 closes at its only pair (0, 1).
+    "zero entry, rational": [["1/2", "1/4", 0], ["1/4", 1, "1/3"], [0, "1/3", 3]],
+    # Coordinate 2 has no cross pair and keeps its direct (2h-1)!! S_22^h.
+    "uncrossed coordinate": [["3/2", "-1/2", 0], ["-1/2", 2, 0], [0, 0, "5/3"]],
+    "singular 3x3": [[4, -2, 2], [-2, 1, -1], [2, -1, 1]],
+    "full 4x4": [[4, 1, -1, 2], [1, 3, 1, 0], [-1, 1, 5, 1], [2, 0, 1, 4]],
+    # Pair (0, 1) is not the last level but closes both of its coordinates.
+    "two blocks 4x4": [["2", "1/2", 0, 0], ["1/2", 1, 0, 0], [0, 0, 3, -1], [0, 0, -1, "2/3"]],
+    "zeros 4x4": [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 2, 0], [1, -1, 0, 2]],
+}
+
+
+class TestMemoisedEngine:
+    """The plans and memoised level sums against the Wick recursion and the
+    pairing enumeration, one covariance per case, asked in three orders."""
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    @pytest.mark.parametrize("case", list(MEMO_CASES))
+    def test_matches_wick_and_pairings_in_any_order(self, case, order):
+        rows = MEMO_CASES[case]
+        d = len(rows)
+        top = 5 if d == 3 else 3
+        queries = _query_orders(list(itertools.product(range(top + 1), repeat=d)))[order]
+        cov = CovarianceMatrix.from_rows(rows)
+        oracle = CovarianceMatrix.from_rows(rows)
+        for ks in queries:
+            value = gaussian_moment(cov, ks)
+            assert value == wick_moment(oracle, ks), (case, ks)
+            if sum(ks) <= 8:
+                assert value == pairing_moment(oracle, ks), (case, ks)
+        assert gaussian_moment(cov, (0,) * d) == 1
+
+    def test_empty_exponents_on_an_empty_covariance(self):
+        empty = CovarianceMatrix(())
+        assert gaussian_moment(empty, ()) == 1 == wick_moment(empty, ())
+
+    def test_plan_is_rebuilt_only_for_longer_tables_and_keeps_its_sums(self):
+        cov = CovarianceMatrix.from_rows(MEMO_CASES["full 3x3"])
+        gaussian_moment(cov, (2, 2, 2))
+        plan = cov._plans[(0, 1, 2)]
+        gaussian_moment(cov, (2, 0, 2))
+        gaussian_moment(cov, (1, 1, 2))
+        assert cov._plans[(0, 1, 2)] is plan
+        assert set(cov._plans) == {(0, 1, 2), (0, 2)}
+        gaussian_moment(cov, (6, 2, 2))
+        grown = cov._plans[(0, 1, 2)]
+        assert grown is not plan and grown.sums is plan.sums
+        assert grown.caps[0] >= 6
+        # The innermost level holds scaled 2-D moments of the last pair (1, 2):
+        # D^((a+b)/2) E[X_1^a X_2^b] with coordinate 0 closed to 0.
+        for key, value in grown.sums[-1].items():
+            assert key[0] == 0
+            assert value == wick_moment(cov, key) * cov.denominator ** (sum(key) // 2)
+
+    def test_uncrossed_coordinates_leave_the_keys(self):
+        cov = CovarianceMatrix.from_rows(MEMO_CASES["uncrossed coordinate"])
+        gaussian_moment(cov, (2, 2, 4))
+        gaussian_moment(cov, (2, 2, 6))
+        plan = cov._plans[(0, 1, 2)]
+        assert plan.uncrossed == (2,)
+        assert list(plan.sums[0]) == [(2, 2, 0)]
+
+
 class TestTablesPerCovariance:
     """Each covariance carries its own integer form and power tables."""
 
@@ -274,13 +357,16 @@ class TestTablesPerCovariance:
         gaussian_moment(cov, (4, 2))
         assert gc.get_referrers(cov._cross) in ([cov], [vars(cov)])
         assert gc.get_referrers(cov._self) in ([cov], [vars(cov)])
+        assert gc.get_referrers(cov._plans) in ([cov], [vars(cov)])
         assert not hasattr(moments, "_recent_tables")
 
     def test_draw_is_freed_by_refcounting(self):
         # The tables point at no covariance, so dropping the last reference to
         # a draw frees it without waiting for the cycle collector.
         cov = random_covariance(SplitMix64(3), 3, 4)
-        gaussian_moment(cov, (4, 4, 2))
+        for ks in ((4, 4, 2), (2, 2, 6), (8, 8, 8), (4, 0, 2)):
+            gaussian_moment(cov, ks)
+        assert len(cov._plans) == 2
         ref = weakref.ref(cov)
         gc.disable()
         try:

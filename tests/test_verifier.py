@@ -4,6 +4,7 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -446,6 +447,28 @@ class TestThm32AndMain:
             for m in range(1, 3):
                 for n in range(1, 3):
                     assert check_thm32(m, n, cov).holds
+
+    def test_rhs_is_the_product_of_univariate_moments(self):
+        # The right side is built from the scaled integers over D^(2m+n); the
+        # three rational univariate moments are an independent route to it.
+        rng = random.Random(32)
+        for _ in range(40):
+            a = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(3)]
+                for _ in range(3)
+            ]
+            rows = [[sum(a[i][t] * a[j][t] for t in range(3)) for j in range(3)] for i in range(3)]
+            if any(rows[i][i] == 0 for i in range(3)):
+                continue
+            cov = CovarianceMatrix.from_rows(rows)
+            for m in range(1, 4):
+                for n in range(1, 4):
+                    expected = (
+                        univariate_even_moment(rows[0][0], m)
+                        * univariate_even_moment(rows[1][1], m)
+                        * univariate_even_moment(rows[2][2], n)
+                    )
+                    assert check_thm32(m, n, cov).rhs == expected, (rows, m, n)
 
     def test_zero_variance_rejected(self):
         cov = CovarianceMatrix.diagonal([1, 1, 0])
