@@ -35,7 +35,6 @@ from .specialfn import (
     pochhammer,
 )
 from .verifier import (
-    DegenerateTriple,
     GammaPolynomialSet,
     InequalityVerdict,
     StationaryPointCertificate,

@@ -5,8 +5,7 @@ and sums the covariance products; `wick_moment` runs the Isserlis/Wick
 recursion over Fractions.  Both validate their input with the engine's own
 `moments.validate_exponents`, and neither shares any arithmetic with
 `moments.gaussian_moment`.  Both are slow and deliberately kept out of the
-public API: the test suite uses both, the CLI's --oracle flag uses
-`pairing_moment`.
+public API: they serve the test suite only.
 """
 
 from __future__ import annotations

@@ -17,11 +17,9 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from ._pairing import pairing_moment
 from .core import Polynomial, SplitMix64, format_rational
 from .identities import (
     IdentityVerdict,
@@ -40,7 +38,6 @@ from .specialfn import (
     pfaff_check,
 )
 from .verifier import (
-    DegenerateTriple,
     InequalityVerdict,
     StationaryPointCertificate,
     build_gamma_polynomials,
@@ -60,26 +57,28 @@ KUMMER_DEFAULT_BS = ("1/3", "1/2", "3/2", "7/3")
 KUMMER_R_MAX = 5
 
 
-@dataclass(frozen=True)
 class SweepConfig:
     """Deterministic randomized-sweep parameters; equal configs replay byte-identically."""
 
-    seed: int
-    count: int
-    q: int = 3
-    m_max: int = 2
-    n_max: int = 2
-    diagonal: bool = False
+    def __init__(
+        self,
+        seed: int,
+        count: int,
+        q: int = 3,
+        m_max: int = 2,
+        n_max: int = 2,
+        diagonal: bool = False,
+    ):
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
+        if m_max < 1 or n_max < 1:
+            raise ValueError(f"need m_max, n_max >= 1, got m_max={m_max}, n_max={n_max}")
+        vars(self).update(seed=seed, count=count, q=q, m_max=m_max, n_max=n_max, diagonal=diagonal)
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.m_max < 1 or self.n_max < 1:
-            raise ValueError(
-                f"need m_max, n_max >= 1, got m_max={self.m_max}, n_max={self.n_max}"
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError("SweepConfig is immutable")
 
 
 def _load_covariance(path: str) -> CovarianceMatrix:
@@ -116,17 +115,7 @@ def _emit(text: str, path: str | None) -> None:
 def cmd_moment(args) -> int:
     cov = _load_covariance(args.cov)
     exponents = _parse_exponents(args.exps)
-    value = gaussian_moment(cov, exponents)
-    if args.oracle:
-        oracle = pairing_moment(cov, exponents)
-        if oracle != value:
-            print(
-                f"gpi-lab: oracle disagreement: engine={format_rational(value)} "
-                f"pairing={format_rational(oracle)}",
-                file=sys.stderr,
-            )
-            return 1
-    print(format_rational(value))
+    print(format_rational(gaussian_moment(cov, exponents)))
     return 0
 
 
@@ -211,7 +200,7 @@ CHECKS: dict[str, Callable[[argparse.Namespace], Verdict]] = {
     "cor23": lambda a: check_cor23(a.m, a.n, a.r, _required_cov(a, 2)),
     "lemma29": lambda a: check_lemma29(a.m, a.n, a.r),
     "lemma210": lambda a: check_lemma210(a.m, a.n, a.r, a.width),
-    "lemma31": lambda a: check_lemma31(a.m, a.n, DegenerateTriple.from_a(a.a, a.sigma2)),
+    "lemma31": lambda a: check_lemma31(a.m, a.n, a.a, a.sigma2),
     "thm32": lambda a: check_thm32(a.m, a.n, _required_cov(a, 3)),
     "main": lambda a: check_main(a.m, _required_cov(a, 3)),
 }
@@ -389,10 +378,9 @@ def verification_families(
     def degenerate():
         for a in (Fraction(-1), -half, half, Fraction(1), Fraction(2)):
             for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
-                triple = DegenerateTriple.from_a(a, sigma2)
                 for m in range(1, mn_max + 1):
                     for n in range(1, mn_max + 1):
-                        yield check_lemma31(m, n, triple).holds
+                        yield check_lemma31(m, n, a, sigma2).holds
 
     def sweep():
         for rec in run_sweep(draws):
@@ -463,11 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="exact mixed moment of a covariance file")
     p.add_argument("--cov", required=True, help="covariance JSON file")
     p.add_argument("--exps", required=True, help="comma-separated exponents k1,k2,...")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the brute-force pairing oracle and require agreement",
-    )
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("identities", help="run the combinatorial identity suite")

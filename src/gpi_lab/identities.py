@@ -12,16 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import Polynomial, Scalar, format_rational, parse_rational
 from .specialfn import hyp2f1_terminating, pochhammer
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     """Exact verdict on one identity instance; holds means lhs == rhs."""
 
     identity: str

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -38,8 +37,7 @@ from .specialfn import double_factorial_odd
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PsdCertificate:
+class PsdCertificate(NamedTuple):
     """Outcome of the exact PSD test.
 
     When `psd` is false, `indices` names a principal submatrix whose exact
@@ -123,7 +121,6 @@ def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
     return PsdCertificate(False, indices, Fraction(minor, den ** len(indices)))
 
 
-@dataclass(frozen=True)
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
@@ -139,18 +136,12 @@ class CovarianceMatrix:
     tuple of coordinates with a nonzero exponent to its `_Plan`: the cross
     pairs, the coordinates with no cross pair, the level tables and the
     memoised sub-sums of each level.  A plan is rebuilt, keeping its sums, only
-    when a call needs longer tables than it holds.
+    when a call needs longer tables than it holds.  Instances are immutable,
+    and equality, hashing and repr see `entries` only.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    scaled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _cross: list[list[tuple[int, ...]]] = field(init=False, repr=False, compare=False)
-    _self: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _plans: dict[tuple[int, ...], "_Plan"] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        den, scaled = _integer_form(self.entries)
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+        den, scaled = _integer_form(entries)
         # is_psd scales an integer matrix by the identity, so this stays one scaling.
         cert = is_psd(scaled)
         if not cert:
@@ -158,12 +149,29 @@ class CovarianceMatrix:
                 f"not PSD: principal minor on rows {cert.indices} is "
                 f"{cert.minor / den ** len(cert.indices)}"
             )
-        object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "scaled", scaled)
         d = len(scaled)
-        object.__setattr__(self, "_cross", [[(1,)] * d for _ in range(d)])
-        object.__setattr__(self, "_self", [(1,)] * d)
-        object.__setattr__(self, "_plans", {})
+        vars(self).update(
+            entries=entries,
+            denominator=den,
+            scaled=scaled,
+            _cross=[[(1,)] * d for _ in range(d)],
+            _self=[(1,)] * d,
+            _plans={},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CovarianceMatrix is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, CovarianceMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"CovarianceMatrix(entries={self.entries!r})"
 
     @property
     def dim(self) -> int:

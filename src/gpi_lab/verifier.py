@@ -15,9 +15,8 @@ step of that argument is a false certificate, never an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .core import Polynomial, Scalar, format_rational, isolate_root, parse_rational
 from .moments import CovarianceMatrix, gaussian_moment, univariate_even_moment
@@ -32,8 +31,7 @@ def _fmt(value) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(NamedTuple):
     """Exact verdict on one inequality (or equality) instance.
 
     `relation` records what the claim asserts: lhs >= rhs, lhs > rhs, or
@@ -72,57 +70,16 @@ class InequalityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class GammaPolynomialSet:
+class GammaPolynomialSet(NamedTuple):
     """G, H, B for one (m, n, r): the moment polynomial, its excess over the
     conjectured constant, and its hypergeometric normalization."""
 
-    m: int
-    n: int
-    r: int
     G: Polynomial
     H: Polynomial
     B: Polynomial
 
 
-@dataclass(frozen=True)
-class DegenerateTriple:
-    """Rank-deficient triple (X, Y, Z) = (U + aZ, U + bZ, Z), E[Z^2] = 1.
-
-    The difference constraint a - b = 1 encodes Z = X - Y; sigma2 = E[U^2] may
-    be zero (rank-1 boundary) as long as X and Y keep positive variance.
-    """
-
-    a: Fraction
-    b: Fraction
-    sigma2: Fraction
-
-    def __post_init__(self):
-        if self.a - self.b != 1:
-            raise ValueError(f"need a - b = 1, got a={self.a}, b={self.b}")
-        if self.sigma2 < 0:
-            raise ValueError(f"need sigma2 >= 0, got {self.sigma2}")
-        if self.sigma2 + self.a**2 == 0 or self.sigma2 + self.b**2 == 0:
-            raise ValueError("X and Y must have positive variance")
-
-    @classmethod
-    def from_a(cls, a: Scalar, sigma2: Scalar) -> "DegenerateTriple":
-        a = parse_rational(a)
-        return cls(a, a - 1, parse_rational(sigma2))
-
-    def covariance(self) -> CovarianceMatrix:
-        a, b, s2 = self.a, self.b, self.sigma2
-        return CovarianceMatrix.from_rows(
-            [
-                [s2 + a * a, s2 + a * b, a],
-                [s2 + a * b, s2 + b * b, b],
-                [a, b, Fraction(1)],
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class StationaryPointCertificate:
+class StationaryPointCertificate(NamedTuple):
     """Outcome of the consecutive-B stationary-point check.
 
     `bracket` isolates the unique root of B_{m+1}' in (0,1) to the requested
@@ -204,7 +161,7 @@ def build_gamma_polynomials(m: int, n: int, r: int) -> GammaPolynomialSet:
         * pochhammer(half, r)
     )
     scale = 2 ** (m + n + 2 * r) * pochhammer(half, m) * pochhammer(half, n + 2 * r)
-    return GammaPolynomialSet(m, n, r, G=g, H=g - shift, B=(1 / scale) * g)
+    return GammaPolynomialSet(G=g, H=g - shift, B=(1 / scale) * g)
 
 
 def check_lemma29(m: int, n: int, r: int) -> InequalityVerdict:
@@ -400,14 +357,37 @@ def check_cor23(m: int, n: int, r: int, cov2: CovarianceMatrix) -> InequalityVer
     )
 
 
-def check_lemma31(m: int, n: int, triple: DegenerateTriple) -> InequalityVerdict:
-    """Strict inequality for the rank-deficient triple:
+def degenerate_covariance(a: Scalar, sigma2: Scalar) -> CovarianceMatrix:
+    """Covariance of the rank-deficient triple (X, Y, Z) = (U + aZ, U + bZ, Z)
+    with b = a - 1, so Z = X - Y, E[Z^2] = 1 and E[U^2] = sigma2.
+
+    sigma2 may be zero (rank-1 boundary) as long as X and Y keep positive
+    variance.
+    """
+    a, s2 = parse_rational(a), parse_rational(sigma2)
+    b = a - 1
+    if s2 < 0:
+        raise ValueError(f"need sigma2 >= 0, got {s2}")
+    if s2 + a**2 == 0 or s2 + b**2 == 0:
+        raise ValueError("X and Y must have positive variance")
+    return CovarianceMatrix.from_rows(
+        [
+            [s2 + a * a, s2 + a * b, a],
+            [s2 + a * b, s2 + b * b, b],
+            [a, b, Fraction(1)],
+        ]
+    )
+
+
+def check_lemma31(m: int, n: int, a: Scalar, sigma2: Scalar) -> InequalityVerdict:
+    """Strict inequality for the rank-deficient triple of `degenerate_covariance`:
 
         E[X^{2m} Y^{2m} Z^{2n}] > E[X^{2m}] E[Y^{2m}] E[Z^{2n}]
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    cov3 = triple.covariance()
+    a, sigma2 = parse_rational(a), parse_rational(sigma2)
+    cov3 = degenerate_covariance(a, sigma2)
     lhs = gaussian_moment(cov3, (2 * m, 2 * m, 2 * n))
     rhs = (
         univariate_even_moment(cov3.entries[0][0], m)
@@ -416,7 +396,7 @@ def check_lemma31(m: int, n: int, triple: DegenerateTriple) -> InequalityVerdict
     )
     return InequalityVerdict(
         "lemma31",
-        {"m": m, "n": n, "a": triple.a, "b": triple.b, "sigma2": triple.sigma2},
+        {"m": m, "n": n, "a": a, "b": a - 1, "sigma2": sigma2},
         lhs,
         rhs,
         relation=">",

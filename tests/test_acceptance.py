@@ -34,7 +34,6 @@ from gpi_lab import (
 )
 from gpi_lab._pairing import pairing_moment
 from gpi_lab.cli import SweepConfig, run_sweep
-from gpi_lab.verifier import DegenerateTriple
 
 HALF = Fraction(1, 2)
 KUMMER_BS = (Fraction(1, 3), HALF, Fraction(3, 2), Fraction(7, 3))
@@ -148,10 +147,9 @@ def test_criterion_09_degenerate_triples_strict():
     with criterion("9 lemma31 degenerate sweep strict (a,sigma2 grid, m,n<=3)", 60.0):
         for a in (Fraction(-1), Fraction(-1, 2), HALF, Fraction(1), Fraction(2)):
             for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
-                triple = DegenerateTriple.from_a(a, sigma2)
                 for m in range(1, 4):
                     for n in range(1, 4):
-                        v = check_lemma31(m, n, triple)
+                        v = check_lemma31(m, n, a, sigma2)
                         assert v.lhs > v.rhs, (a, sigma2, m, n)
 
 

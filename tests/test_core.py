@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from gpi_lab import (
     CovarianceMatrix,
-    DegenerateTriple,
     Polynomial,
     SplitMix64,
     check_kummer_classical,
     check_lemma210,
+    check_lemma31,
     check_prop21,
     check_thm22,
     contiguous_check,
@@ -90,10 +90,8 @@ class TestRationalSerialization:
             pytest.param(lambda: hyp2f1_poly(-1, 0.1, 1), id="hyp2f1_poly"),
             pytest.param(lambda: pfaff_check(-1, 0.1, 1, 1), id="pfaff_check"),
             pytest.param(lambda: contiguous_check("R32", -1, 0.1, 1, 1), id="contiguous_check"),
-            pytest.param(lambda: DegenerateTriple.from_a(0.1, 1), id="DegenerateTriple.from_a"),
-            pytest.param(
-                lambda: DegenerateTriple.from_a(2, 0.1), id="DegenerateTriple.from_a.sigma2"
-            ),
+            pytest.param(lambda: check_lemma31(1, 1, 0.1, 1), id="check_lemma31.a"),
+            pytest.param(lambda: check_lemma31(1, 1, 2, 0.1), id="check_lemma31.sigma2"),
             pytest.param(lambda: check_prop21(1, 1, 1, 0.1, 1), id="check_prop21"),
             pytest.param(lambda: check_thm22(1, 1, 1, 1, 0.1), id="check_thm22"),
             pytest.param(lambda: check_kummer_classical(1, 0.1), id="check_kummer_classical"),

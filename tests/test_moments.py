@@ -375,6 +375,31 @@ class TestTablesPerCovariance:
         finally:
             gc.enable()
 
+    def test_every_attribute_is_read_only(self):
+        cov = CovarianceMatrix.from_rows([[2, 1], [1, 2]])
+        gaussian_moment(cov, (4, 2))
+        for name in (*vars(cov), "dim", "fresh"):
+            with pytest.raises(AttributeError):
+                setattr(cov, name, None)
+        assert cov.entries == ((2, 1), (1, 2)) and cov.denominator == 1
+
+    def test_equality_and_hash_see_entries_only(self):
+        rows = [[5, 2, -1], [2, 3, 1], [-1, 1, 2]]
+        grown, fresh = CovarianceMatrix.from_rows(rows), CovarianceMatrix.from_rows(rows)
+        gaussian_moment(grown, (4, 4, 2))
+        assert grown._plans and not fresh._plans
+        assert grown == fresh and hash(grown) == hash(fresh)
+        assert len({grown, fresh}) == 1
+        assert grown != CovarianceMatrix.from_rows([[5, 2, -1], [2, 3, 1], [-1, 1, 3]])
+        assert grown != rows
+
+    def test_repr_shows_entries_only(self):
+        cov = CovarianceMatrix.from_rows([[1, "1/2"], ["1/2", 1]])
+        gaussian_moment(cov, (2, 2))
+        assert repr(cov) == f"CovarianceMatrix(entries={cov.entries!r})"
+        for name in ("denominator", "scaled", "_cross", "_self", "_plans"):
+            assert name not in repr(cov)
+
 
 class TestUnivariateEvenMoment:
     def test_standard_fourth(self):
@@ -454,6 +479,12 @@ class TestIsPsd:
 
     def test_identity(self):
         assert is_psd([[1, 0], [0, 1]])
+
+    def test_certificate_truth_is_the_verdict(self):
+        # A certificate is a non-empty tuple, so only __bool__ makes a failing one falsy.
+        assert bool(is_psd([[1, 2], [2, 1]])) is False
+        assert bool(is_psd([[0]])) is True
+        assert bool(moments.PsdCertificate(False, (0,), Fraction(-1))) is False
 
     def test_rank_one_gram(self):
         assert is_psd([[1, 1], [1, 1]])

@@ -3,7 +3,6 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from gpi_lab import (
     CovarianceMatrix,
-    DegenerateTriple,
     Polynomial,
     SplitMix64,
     build_gamma_polynomials,
@@ -37,7 +35,7 @@ from gpi_lab import (
 )
 from gpi_lab import verifier
 from gpi_lab._pairing import pairing_moment
-from gpi_lab.verifier import WEI_COUNTEREXAMPLE_COV
+from gpi_lab.verifier import WEI_COUNTEREXAMPLE_COV, degenerate_covariance
 
 from conftest import principal_minor
 
@@ -127,7 +125,7 @@ class TestLemma29Bridge:
 
         def skewed(m, n, r):
             polys = real(m, n, r)
-            return dataclasses.replace(polys, G=polys.G + Polynomial([0, 0, Fraction(1, 7)]))
+            return polys._replace(G=polys.G + Polynomial([0, 0, Fraction(1, 7)]))
 
         monkeypatch.setattr(verifier, "build_gamma_polynomials", skewed)
         v = check_lemma29(2, 1, 2)
@@ -206,7 +204,7 @@ class TestLemma210:
         cert = check_lemma210(1, 1, 2)
         assert cert.holds and cert.as_dict()["holds"] is True
         for derivative in (Fraction(0), Fraction(-1)):
-            flipped = dataclasses.replace(cert, derivative_at_half=derivative)
+            flipped = cert._replace(derivative_at_half=derivative)
             assert flipped.stationary_values_agree
             assert not flipped.holds
             assert flipped.as_dict()["holds"] is False
@@ -227,7 +225,7 @@ class TestLemma210:
         monkeypatch.setattr(
             verifier,
             "build_gamma_polynomials",
-            lambda m, n, r: dataclasses.replace(real(m, n, r), B=Polynomial([0, 1])),
+            lambda m, n, r: real(m, n, r)._replace(B=Polynomial([0, 1])),
         )
         cert = check_lemma210(1, 1, 1)
         assert cert.bracket is None
@@ -394,39 +392,35 @@ class TestCor23:
 
 class TestLemma31:
     def test_anchor_case(self):
-        triple = DegenerateTriple.from_a(1, 1)
-        v = check_lemma31(1, 1, triple)
+        v = check_lemma31(1, 1, 1, 1)
         assert (v.lhs, v.rhs) == (6, 2)
         assert v.holds
 
     def test_half_split(self):
-        v = check_lemma31(1, 1, DegenerateTriple.from_a(HALF, 1))
+        v = check_lemma31(1, 1, HALF, 1)
         assert v.lhs > v.rhs
 
     def test_exhaustive_sweep_strict(self):
         for a in (Fraction(-1), Fraction(-1, 2), HALF, Fraction(1), Fraction(2)):
             for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
-                triple = DegenerateTriple.from_a(a, sigma2)
                 for m in range(1, 4):
                     for n in range(1, 4):
-                        v = check_lemma31(m, n, triple)
+                        v = check_lemma31(m, n, a, sigma2)
                         assert v.lhs > v.rhs, (a, sigma2, m, n)
 
     def test_rank_one_boundary(self):
         # sigma2 = 0 collapses (X, Y, Z) onto multiples of Z; still strict.
-        v = check_lemma31(2, 1, DegenerateTriple.from_a(2, 0))
+        v = check_lemma31(2, 1, 2, 0)
         assert v.lhs > v.rhs
 
     def test_invalid_triples(self):
-        with pytest.raises(ValueError, match="need a - b = 1"):
-            DegenerateTriple(Fraction(1), Fraction(1), Fraction(1))
         with pytest.raises(ValueError, match="X and Y must have positive variance"):
-            DegenerateTriple.from_a(0, 0)  # X would be degenerate
+            check_lemma31(1, 1, 0, 0)  # X would be degenerate
         with pytest.raises(ValueError, match="need sigma2 >= 0"):
-            DegenerateTriple.from_a(1, -1)
+            check_lemma31(1, 1, 1, -1)
 
     def test_covariance_is_rank_deficient(self):
-        cov = DegenerateTriple.from_a(1, 1).covariance()
+        cov = degenerate_covariance(1, 1)
         assert principal_minor(cov.entries, (0, 1, 2)) == 0
 
 
