@@ -5,19 +5,20 @@ pairing expansion of Genest & Ouimet, 2022) evaluated in integer arithmetic:
 each covariance is scaled once, at construction, to an integer matrix over the
 least common denominator of its entries, every pairing count is summed as a
 Python int, and a single division at the end gives the rational moment.
-Nothing recurses on the degree.  The power tables, and a plan for each set
-of coordinates asked about (its cross pairs, its level tables and the
-memoised sub-sums of its levels), are fields of each covariance, extended
-lazily by the moments that need them.  So every call on one draw shares them:
-the 36 calls of a heavy sweep draw reuse one another's 2-D moments of the last
-pair.  They hold no reference to the covariance, so they are freed with the
-draw.  Their size is bounded by the exponents asked: a table reaches at most
-twice the largest exponent asked of its coordinates, and a level holds at
-most one sum per tuple of remainders of its open coordinates, each remainder
-at most the largest exponent asked of its coordinate.  Covariance validity
-(exact symmetry and positive semidefiniteness) is certified at construction
-time by fraction-free (Bareiss) elimination on the scaled integer matrix, and
-a matrix that fails reports its negative principal minor, read off the
+Nothing recurses on the degree.  Each covariance holds one plan per set of
+coordinates asked about: its cross pairs, its level tables of power weights
+and the memoised sub-sums of its levels.  The first moment that needs a plan
+builds it, and a later one that needs longer tables rebuilds it whole, keeping
+its sums.  So every call on one draw shares them: the 36 calls of a heavy
+sweep draw reuse one another's 2-D moments of the last pair.  Plans hold no
+reference to the covariance, so they are freed with the draw.  Their size is
+bounded by the exponents asked: a table reaches at most twice the largest
+exponent asked of its coordinates, and a level holds at most one sum per
+tuple of remainders of its open coordinates, each remainder at most the
+largest exponent asked of its coordinate.  Covariance validity (exact
+symmetry and positive semidefiniteness) is certified at construction time by
+fraction-free (Bareiss) elimination on the scaled integer matrix, and a
+matrix that fails reports its negative principal minor, read off the
 elimination's pivot.  Rational inputs go through `core.parse_rational`, so
 binary floats are refused and no floating point is involved anywhere.
 """
@@ -124,23 +125,23 @@ def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
-    Construction scales the entries once to the integer matrix S = `scaled`
-    over their least common denominator D = `denominator`, and certifies
-    symmetry and positive semidefiniteness on it exactly; singular
-    (rank-deficient) matrices are deliberately allowed.  The moment engine's
-    power tables start at (1,) and grow on demand: for i < j, `_cross[i][j][l]`
-    is l! S_ij^l, and `_self[c][h]` is (2h-1)!! S_cc^h, the number of ways to
-    pair the 2h factors of coordinate c left over after its cross pairs among
-    themselves, times their weight.  Each table is a tuple replaced whole when
-    it grows, so a reader never sees one half extended.  `_plans` maps each
-    tuple of coordinates with a nonzero exponent to its `_Plan`: the cross
-    pairs, the coordinates with no cross pair, the level tables and the
-    memoised sub-sums of each level.  A plan is rebuilt, keeping its sums, only
-    when a call needs longer tables than it holds.  Instances are immutable,
+    Construction parses every entry with `core.parse_rational`, scales the
+    entries once to the integer matrix S = `scaled` over their least common
+    denominator D = `denominator`, and certifies symmetry and positive
+    semidefiniteness on it exactly; singular (rank-deficient) matrices are
+    deliberately allowed.  Any entry or shape it cannot read is a ValueError.
+    `_plans` maps each tuple of coordinates with a nonzero exponent to its
+    `_Plan`, the moment engine's one mutable state.  A plan is replaced whole
+    when it grows, and its level sums only gain entries, each an exact integer
+    that any worker computes the same way.  Instances are otherwise immutable,
     and equality, hashing and repr see `entries` only.
     """
 
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, rows: Iterable[Iterable[Scalar]]):
+        try:
+            entries = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+        except TypeError as exc:
+            raise ValueError(f"bad covariance entry: {exc}") from None
         den, scaled = _integer_form(entries)
         # is_psd scales an integer matrix by the identity, so this stays one scaling.
         cert = is_psd(scaled)
@@ -149,15 +150,7 @@ class CovarianceMatrix:
                 f"not PSD: principal minor on rows {cert.indices} is "
                 f"{cert.minor / den ** len(cert.indices)}"
             )
-        d = len(scaled)
-        vars(self).update(
-            entries=entries,
-            denominator=den,
-            scaled=scaled,
-            _cross=[[(1,)] * d for _ in range(d)],
-            _self=[(1,)] * d,
-            _plans={},
-        )
+        vars(self).update(entries=entries, denominator=den, scaled=scaled, _plans={})
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceMatrix is immutable")
@@ -179,20 +172,12 @@ class CovarianceMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Scalar]]) -> "CovarianceMatrix":
-        return cls(
-            tuple(
-                tuple(x if isinstance(x, Fraction) else parse_rational(x) for x in row)
-                for row in rows
-            )
-        )
+        return cls(rows)
 
     @classmethod
     def diagonal(cls, variances: Iterable[Scalar]) -> "CovarianceMatrix":
-        vs = [parse_rational(v) for v in variances]
-        n = len(vs)
-        return cls.from_rows(
-            [[vs[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        vs = list(variances)
+        return cls([[v if i == j else 0 for j in range(len(vs))] for i, v in enumerate(vs)])
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "CovarianceMatrix":
@@ -208,11 +193,7 @@ class CovarianceMatrix:
             dim = operator.index(obj["dim"])
         except TypeError:
             raise ValueError(f'covariance "dim" must be an integer, got {obj["dim"]!r}') from None
-        try:
-            parsed = [[parse_rational(x) for x in row] for row in rows]
-        except TypeError as exc:
-            raise ValueError(f"bad covariance entry: {exc}") from None
-        cov = cls.from_rows(parsed)
+        cov = cls(rows)
         if dim != cov.dim:
             raise ValueError(
                 f"declared dim {obj['dim']} but {cov.dim} rows of entries"
@@ -244,39 +225,27 @@ def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Expon
     return ks
 
 
-def _cross_powers(cov: CovarianceMatrix, i: int, j: int, top: int) -> tuple[int, ...]:
-    """cov's table of l! S_ij^l, grown to cover l = top."""
-    table = cov._cross[i][j]
-    if len(table) <= top:
-        s = cov.scaled[i][j]
-        grown = list(table)
-        for l in range(len(table), top + 1):
-            grown.append(grown[-1] * l * s)
-        table = cov._cross[i][j] = tuple(grown)
-    return table
-
-
-def _self_powers(cov: CovarianceMatrix, c: int, top: int) -> tuple[int, ...]:
-    """cov's table of (2h-1)!! S_cc^h, grown to cover h = top."""
-    table = cov._self[c]
-    if len(table) <= top:
-        s = cov.scaled[c][c]
-        grown = list(table)
-        for h in range(len(table), top + 1):
-            grown.append(grown[-1] * (2 * h - 1) * s)
-        table = cov._self[c] = tuple(grown)
-    return table
+def _powers(s: int, factors: range) -> tuple[int, ...]:
+    """The running products of f * s over factors, from 1: l! s^l for the
+    factors 1..n, (2h-1)!! s^h for the odd ones."""
+    table = [1]
+    for f in factors:
+        table.append(table[-1] * f * s)
+    return tuple(table)
 
 
 class _Plan(NamedTuple):
     """The traversal of the pairing-count sum for one set of coordinates.
 
     `levels[p]` is (i, j, l! S_ij^l table, closing table of i or None, closing
-    table of j or None) for the p-th nonzero cross pair; `uncrossed` are the
-    coordinates with no nonzero cross entry; the tables cover every exponent
-    up to `caps`.  `sums[p]` maps a tuple of remainders, with the coordinates
-    closed before level p (and the uncrossed ones) set to 0, to the sum over
-    levels p and below.  A sub-sum does not depend on the path above it, so it
+    table of j or None) for the p-th nonzero cross pair.  The closing table of
+    a coordinate c, at its last pair, holds (2h-1)!! S_cc^h: the number of
+    ways to pair among themselves the 2h factors of c left after its cross
+    pairs, times their weight.  `uncrossed` are the coordinates with no
+    nonzero cross entry; the tables cover every exponent up to `caps`.
+    `sums[p]` maps a tuple of remainders, with the coordinates closed before
+    level p (and the uncrossed ones) set to 0, to the sum over levels p and
+    below.  A sub-sum does not depend on the path above it, so it
     holds for every call on the covariance.
     """
 
@@ -305,9 +274,9 @@ def _plan(cov: CovarianceMatrix, k: Exponents) -> _Plan:
         (
             i,
             j,
-            _cross_powers(cov, i, j, min(caps[i], caps[j])),
-            _self_powers(cov, i, caps[i] // 2) if last_pair[i] == p else None,
-            _self_powers(cov, j, caps[j] // 2) if last_pair[j] == p else None,
+            _powers(scaled[i][j], range(1, min(caps[i], caps[j]) + 1)),
+            _powers(scaled[i][i], range(1, caps[i], 2)) if last_pair[i] == p else None,
+            _powers(scaled[j][j], range(1, caps[j], 2)) if last_pair[j] == p else None,
         )
         for p, (i, j) in enumerate(pairs)
     )
@@ -339,7 +308,7 @@ def _pair_sum(plan: _Plan, top: Exponents) -> int:
     comb = math.comb
     innermost = len(levels) - 1
     # The last pair closes both of its coordinates.
-    li, lj, last_cross, last_i, last_j = levels[innermost]
+    li, lj, last_ij, last_i, last_j = levels[innermost]
 
     def last(key: Exponents) -> int:
         a, b = key[li], key[lj]
@@ -347,7 +316,7 @@ def _pair_sum(plan: _Plan, top: Exponents) -> int:
         if not (a - b) % 2:
             for t in range(a % 2, min(a, b) + 1, 2):
                 value += (
-                    comb(a, t) * comb(b, t) * last_cross[t]
+                    comb(a, t) * comb(b, t) * last_ij[t]
                     * last_i[(a - t) >> 1] * last_j[(b - t) >> 1]
                 )
         return value
@@ -470,4 +439,4 @@ def random_covariance(gen: SplitMix64, d: int, q: int) -> CovarianceMatrix:
         a = [[gen.randint(-q, q) for _ in range(d)] for _ in range(d)]
         gram = [[sum(a[i][t] * a[j][t] for t in range(d)) for j in range(d)] for i in range(d)]
         if all(gram[i][i] != 0 for i in range(d)):
-            return CovarianceMatrix.from_rows(gram)
+            return CovarianceMatrix(gram)

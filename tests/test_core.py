@@ -82,6 +82,7 @@ class TestRationalSerialization:
             pytest.param(
                 lambda: CovarianceMatrix.from_rows([[0.1]]), id="CovarianceMatrix.from_rows"
             ),
+            pytest.param(lambda: CovarianceMatrix(((0.1,),)), id="CovarianceMatrix"),
             pytest.param(lambda: CovarianceMatrix.diagonal([0.1]), id="CovarianceMatrix.diagonal"),
             pytest.param(lambda: is_psd([[0.1]]), id="is_psd"),
             pytest.param(lambda: univariate_even_moment(0.1, 1), id="univariate_even_moment"),

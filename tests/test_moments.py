@@ -315,6 +315,11 @@ class TestMemoisedEngine:
         grown = cov._plans[(0, 1, 2)]
         assert grown is not plan and grown.sums is plan.sums
         assert grown.caps[0] >= 6
+        # Growth rebuilds every level's tables to the new caps.
+        for i, j, cross, close_i, close_j in grown.levels:
+            assert len(cross) == min(grown.caps[i], grown.caps[j]) + 1
+            for c, close in ((i, close_i), (j, close_j)):
+                assert close is None or len(close) == grown.caps[c] // 2 + 1
         # The innermost level holds scaled 2-D moments of the last pair (1, 2):
         # D^((a+b)/2) E[X_1^a X_2^b] with coordinate 0 closed to 0.
         for key, value in grown.sums[-1].items():
@@ -339,24 +344,23 @@ class TestTablesPerCovariance:
         assert (a.denominator, a.scaled) == (1, ((5, 2, -1), (2, 3, 1), (-1, 1, 2)))
         assert (b.denominator, b.scaled) == (12, ((6, 3, 0), (3, 12, 4), (0, 4, 36)))
         gaussian_moment(a, (2, 2, 2))
-        tables_a = a._cross
         for m in (1, 3, 2):
             for cov in (a, b):
                 ks = (2 * m, 2 * m, 2)
                 assert gaussian_moment(cov, ks) == wick_moment(cov, ks), (cov, ks)
-        assert a._cross is tables_a
-        assert b._cross is not tables_a
-        # l! S_01^l and (2h-1)!! S_00^h over b's own scaled matrix.
-        assert b._cross[0][1][:3] == (1, 3, 18)
-        assert b._self[0] == (1, 6, 3 * 6**2, 15 * 6**3)
+        # Level 0 is the pair (0, 1), the last pair of coordinate 0: l! S_01^l
+        # and (2h-1)!! S_00^h over each covariance's own scaled matrix.
+        _, _, cross_a, _, _ = a._plans[(0, 1, 2)].levels[0]
+        _, _, cross_b, close_b, _ = b._plans[(0, 1, 2)].levels[0]
+        assert cross_a[:3] == (1, 2, 8)
+        assert cross_b[:3] == (1, 3, 18)
+        assert close_b == (1, 6, 3 * 6**2, 15 * 6**3)
 
     def test_only_the_covariance_holds_its_tables(self):
         # No module-level cache: the covariance is the one referrer.  Its
         # attributes may sit inline on the object rather than in a __dict__.
         cov = CovarianceMatrix.from_rows([[2, 1], [1, 2]])
         gaussian_moment(cov, (4, 2))
-        assert gc.get_referrers(cov._cross) in ([cov], [vars(cov)])
-        assert gc.get_referrers(cov._self) in ([cov], [vars(cov)])
         assert gc.get_referrers(cov._plans) in ([cov], [vars(cov)])
         assert not hasattr(moments, "_recent_tables")
 
@@ -392,12 +396,16 @@ class TestTablesPerCovariance:
         assert len({grown, fresh}) == 1
         assert grown != CovarianceMatrix.from_rows([[5, 2, -1], [2, 3, 1], [-1, 1, 3]])
         assert grown != rows
+        pair = [[1, "1/2"], ["1/2", 1]]
+        bare = CovarianceMatrix(pair)
+        assert bare == CovarianceMatrix.from_rows(pair)
+        assert hash(bare) == hash(CovarianceMatrix.from_rows(pair))
 
     def test_repr_shows_entries_only(self):
         cov = CovarianceMatrix.from_rows([[1, "1/2"], ["1/2", 1]])
         gaussian_moment(cov, (2, 2))
         assert repr(cov) == f"CovarianceMatrix(entries={cov.entries!r})"
-        for name in ("denominator", "scaled", "_cross", "_self", "_plans"):
+        for name in ("denominator", "scaled", "_plans"):
             assert name not in repr(cov)
 
 
@@ -653,3 +661,8 @@ class TestJsonInterfaces:
     def test_non_psd_rejected_at_construction(self):
         with pytest.raises(ValueError, match="not PSD"):
             CovarianceMatrix.from_rows([[1, 2], [2, 1]])
+
+    @pytest.mark.parametrize("rows", [[[[1]]], [1, 2]], ids=["nested entry", "flat row"])
+    def test_unreadable_rows_rejected_at_construction(self, rows):
+        with pytest.raises(ValueError, match="bad covariance entry"):
+            CovarianceMatrix(rows)
