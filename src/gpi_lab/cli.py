@@ -10,15 +10,13 @@ byte-identical reports; the only randomness source is the seeded generator.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import itertools
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Polynomial, SplitMix64, format_rational
 from .identities import (
@@ -57,28 +55,15 @@ KUMMER_DEFAULT_BS = ("1/3", "1/2", "3/2", "7/3")
 KUMMER_R_MAX = 5
 
 
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Deterministic randomized-sweep parameters; equal configs replay byte-identically."""
 
-    def __init__(
-        self,
-        seed: int,
-        count: int,
-        q: int = 3,
-        m_max: int = 2,
-        n_max: int = 2,
-        diagonal: bool = False,
-    ):
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if q < 1:
-            raise ValueError(f"q must be >= 1, got {q}")
-        if m_max < 1 or n_max < 1:
-            raise ValueError(f"need m_max, n_max >= 1, got m_max={m_max}, n_max={n_max}")
-        vars(self).update(seed=seed, count=count, q=q, m_max=m_max, n_max=n_max, diagonal=diagonal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SweepConfig is immutable")
+    seed: int
+    count: int
+    q: int = 3
+    m_max: int = 2
+    n_max: int = 2
+    diagonal: bool = False
 
 
 def _load_covariance(path: str) -> CovarianceMatrix:
@@ -284,14 +269,21 @@ def _sweep_point(idx: int, cov: CovarianceMatrix, m_max: int, n_max: int) -> lis
 
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Draw `count` 3x3 covariances from the seed and record every theorem check."""
-    gen = SplitMix64(config.seed)
+    seed, count, q, m_max, n_max, diagonal = config
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if m_max < 1 or n_max < 1:
+        raise ValueError(f"need m_max, n_max >= 1, got m_max={m_max}, n_max={n_max}")
+    gen = SplitMix64(seed)
     records = []
-    for idx in range(config.count):
-        if config.diagonal:
-            cov = _diagonal_covariance(gen, config.q)
+    for idx in range(count):
+        if diagonal:
+            cov = _diagonal_covariance(gen, q)
         else:
-            cov = random_covariance(gen, 3, config.q)
-        records += _sweep_point(idx, cov, config.m_max, config.n_max)
+            cov = random_covariance(gen, 3, q)
+        records += _sweep_point(idx, cov, m_max, n_max)
     return records
 
 
@@ -303,18 +295,16 @@ def render_sweep_json(records: list[dict]) -> str:
 
 
 def render_sweep_csv(records: list[dict]) -> str:
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_FIELDS)
+    """A header line and one line per record; no field ever needs quoting."""
+    lines = [",".join(SWEEP_FIELDS)]
     for record in records:
-        writer.writerow(
-            [
-                record[field] if not isinstance(record[field], bool)
-                else ("true" if record[field] else "false")
-                for field in SWEEP_FIELDS
-            ]
+        cells = (record[field] for field in SWEEP_FIELDS)
+        lines.append(
+            ",".join(
+                ("true" if v else "false") if isinstance(v, bool) else str(v) for v in cells
+            )
         )
-    return buffer.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -340,9 +330,7 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def verification_families(
-    quick: bool, seed: int, sweep_count: int
-) -> list[tuple[str, Iterator[bool]]]:
+def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator[bool]]]:
     """Every claim family of the paper, in report order: a name and a lazy
     stream of exact per-check verdicts.  --quick shrinks every range."""
     n_max, r_max, l_max = (4, 4, 8) if quick else (8, 8, 20)
@@ -350,8 +338,7 @@ def verification_families(
     mn = range(mn_max + 1)
     bridge_rs = range(1, (2 if quick else 3) + 1)
     samples = 20 if quick else 50
-    # Built before any family runs, so a bad count writes no family line.
-    draws = SweepConfig(seed=seed, count=min(sweep_count, 100) if quick else sweep_count, q=4)
+    draws = SweepConfig(seed=seed, count=100 if quick else 1000, q=4)
     diagonal_draws = SweepConfig(seed=seed + 1, count=25, q=4, diagonal=True)
     half = Fraction(1, 2)
     variances = (half, Fraction(1), Fraction(2))
@@ -422,7 +409,7 @@ def verification_families(
 
 def cmd_verify(args) -> int:
     failed_families = 0
-    for name, checks in verification_families(args.quick, args.seed, args.sweep_count):
+    for name, checks in verification_families(args.quick, args.seed):
         start = time.perf_counter()
         total = failed = 0
         for holds in checks:
@@ -517,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every claim family, one summary line each")
     p.add_argument("--seed", type=int, default=20260810, help="seed of the randomized sweep")
-    p.add_argument("--sweep-count", type=int, default=1000)
     p.add_argument("--quick", action="store_true", help="shrink every range")
     p.set_defaults(func=cmd_verify)
 

@@ -122,6 +122,13 @@ def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
     return PsdCertificate(False, indices, Fraction(minor, den ** len(indices)))
 
 
+def _not_str(values, what: str):
+    """values, unless it is a string, which would read as a list of characters."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a list, not the string {values!r}")
+    return values
+
+
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
@@ -139,7 +146,10 @@ class CovarianceMatrix:
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         try:
-            entries = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+            entries = tuple(
+                tuple(parse_rational(x) for x in _not_str(row, "a covariance row"))
+                for row in _not_str(rows, "covariance rows")
+            )
         except TypeError as exc:
             raise ValueError(f"bad covariance entry: {exc}") from None
         den, scaled = _integer_form(entries)
@@ -176,7 +186,7 @@ class CovarianceMatrix:
 
     @classmethod
     def diagonal(cls, variances: Iterable[Scalar]) -> "CovarianceMatrix":
-        vs = list(variances)
+        vs = list(_not_str(variances, "variances"))
         return cls([[v if i == j else 0 for j in range(len(vs))] for i, v in enumerate(vs)])
 
     @classmethod

@@ -464,10 +464,11 @@ class TestSweep:
         assert run_python(["-c", probe]).returncode == 0
 
     def test_import_leaves_dataclasses_and_oracles_unloaded(self):
-        # Values are NamedTuples or plain classes, and the CLI runs no oracle.
+        # Values are NamedTuples or plain classes, the CLI runs no oracle, and
+        # CSV lines are joined by hand.
         probe = (
             "import sys, gpi_lab.cli; "
-            "print(sorted({'dataclasses', 'gpi_lab._pairing'} & set(sys.modules)))"
+            "print(sorted({'csv', 'dataclasses', 'gpi_lab._pairing'} & set(sys.modules)))"
         )
         proc = run_python(["-c", probe])
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -505,6 +506,27 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("gpi-lab: error: need m_max, n_max >= 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"count": -3}, "count must be >= 1, got -3"),
+            ({"q": 0}, "q must be >= 1, got 0"),
+            ({"n_max": 0}, "need m_max, n_max >= 1, got m_max=2, n_max=0"),
+        ],
+        ids=["count", "q", "n_max"],
+    )
+    def test_run_sweep_checks_its_config(self, fields, message):
+        config = cli.SweepConfig(**{"seed": 1, "count": 1, **fields})
+        with pytest.raises(ValueError) as info:
+            cli.run_sweep(config)
+        assert str(info.value) == message
+
+    def test_sweep_config_is_immutable(self):
+        config = cli.SweepConfig(seed=1, count=2)
+        with pytest.raises(AttributeError):
+            config.count = 3
+        assert config == cli.SweepConfig(1, 2, q=3, m_max=2, n_max=2, diagonal=False)
+
     def test_covariance_hash_is_stable(self):
         cov = CovarianceMatrix.from_json(WEI_JSON)
         assert covariance_hash(cov) == covariance_hash(CovarianceMatrix.from_json(WEI_JSON))
@@ -540,13 +562,18 @@ class TestVerify:
         assert last == "all claim families verified exactly"
         assert err == ""
 
-    def test_sweep_count_and_seed_reach_the_sweep(self, capsys, monkeypatch):
+    def test_seed_reaches_the_sweep(self, capsys, monkeypatch):
         configs = []
         monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or [])
-        code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "5", "--sweep-count", "7")
-        assert code == 0
-        assert [(c.seed, c.count, c.diagonal) for c in configs] == [(5, 7, False), (6, 25, True)]
-        assert "ok   randomized theorem sweep: 0 exact checks" in out
+        for mode, gram_count in ((["--quick"], 100), ([], 1000)):
+            configs.clear()
+            code, out, _ = run_cli(capsys, "verify", *mode, "--seed", "5")
+            assert code == 0
+            assert [(c.seed, c.count, c.diagonal) for c in configs] == [
+                (5, gram_count, False),
+                (6, 25, True),
+            ]
+            assert "ok   randomized theorem sweep: 0 exact checks" in out
 
     def test_false_verdict_fails_exactly_its_family(self, capsys, monkeypatch):
         real = cli.check_lemma29
@@ -580,12 +607,11 @@ class TestVerify:
         assert all(FAMILY_LINE.fullmatch(line) for line in lines[:5] + lines[6:9])
         assert lines[9:] == ["1 family FAILED"]
 
-    @pytest.mark.parametrize("mode", [[], ["--quick"]], ids=["full", "quick"])
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_bad_sweep_count_fails_before_any_family(self, capsys, mode, count):
-        code, out, err = run_cli(capsys, "verify", *mode, f"--sweep-count={count}")
+    def test_sweep_count_is_not_an_option(self, capsys):
+        # `gpi-lab sweep --count` runs a longer sweep; verify's is fixed.
+        code, out, err = run_cli(capsys, "verify", "--sweep-count", "7")
         assert (code, out) == (2, "")
-        assert err == f"gpi-lab: error: count must be >= 1, got {count}\n"
+        assert "unrecognized arguments: --sweep-count 7" in err
 
     def test_failure_survives_optimized_mode(self):
         # -O strips assert statements; verdicts must not depend on them.
@@ -602,9 +628,9 @@ class TestVerify:
 
     def test_script_is_a_shim_for_verify(self):
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
-        proc = run_python([str(script), "--quick", "--sweep-count", "3"])
+        proc = run_python([str(script), "--quick"])
         assert proc.returncode == 0, proc.stderr
-        assert "ok   randomized theorem sweep: 112 exact checks" in proc.stdout
+        assert "ok   randomized theorem sweep: 500 exact checks" in proc.stdout
         assert proc.stdout.endswith("all claim families verified exactly\n")
 
 

@@ -666,3 +666,22 @@ class TestJsonInterfaces:
     def test_unreadable_rows_rejected_at_construction(self, rows):
         with pytest.raises(ValueError, match="bad covariance entry"):
             CovarianceMatrix(rows)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CovarianceMatrix(["21", "12"]),
+            lambda: CovarianceMatrix(iter([[2, 1], "12"])),
+            lambda: CovarianceMatrix("12"),
+            lambda: CovarianceMatrix.diagonal("23"),
+        ],
+        ids=["string rows", "string row in an iterator", "string row list", "string variances"],
+    )
+    def test_strings_are_not_read_as_lists_of_characters(self, build):
+        # Before the check, ["21", "12"] built [[2, 1], [1, 2]] and "23" diag(2, 3).
+        with pytest.raises(ValueError, match="not the string"):
+            build()
+
+    def test_rows_are_read_once(self):
+        rows = iter([["2", "1"], [1, 2]])
+        assert CovarianceMatrix(rows) == CovarianceMatrix.from_rows([[2, 1], [1, 2]])
