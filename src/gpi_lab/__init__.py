@@ -50,7 +50,6 @@ from .verifier import (
     check_thm22,
     check_thm32,
     counterexample_wei,
-    interior_gammas,
 )
 
 __version__ = "0.1.0"

@@ -184,7 +184,7 @@ CHECKS: dict[str, Callable[[argparse.Namespace], Verdict]] = {
     "thm22": lambda a: check_thm22(a.m, a.n, a.r, a.a2, a.b2),
     "cor23": lambda a: check_cor23(a.m, a.n, a.r, _required_cov(a, 2)),
     "lemma29": lambda a: check_lemma29(a.m, a.n, a.r),
-    "lemma210": lambda a: check_lemma210(a.m, a.n, a.r, a.width),
+    "lemma210": lambda a: check_lemma210(a.m, a.n, a.r),
     "lemma31": lambda a: check_lemma31(a.m, a.n, a.a, a.sigma2),
     "thm32": lambda a: check_thm32(a.m, a.n, _required_cov(a, 3)),
     "main": lambda a: check_main(a.m, _required_cov(a, 3)),
@@ -459,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b2", default="1", help="variance of Y as p/q")
     p.add_argument("--a", default="1", help="lemma31: E[XZ] as p/q (b = a - 1)")
     p.add_argument("--sigma2", default="1", help="lemma31: residual variance as p/q")
-    p.add_argument("--width", default=f"1/{2**20}", help="lemma210 bracket width as p/q")
     p.add_argument("--cov", default=None, help="covariance JSON file where required")
     p.set_defaults(func=cmd_check)
 

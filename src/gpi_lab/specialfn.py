@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Literal
 
 from .core import Polynomial, Scalar, parse_rational
-
-ContiguousRelation = Literal["R38", "R32", "R40", "DIFF"]
-
-CONTIGUOUS_RELATIONS = ("R38", "R32", "R40", "DIFF")
 
 
 def pochhammer(alpha: Scalar, n: int) -> Fraction:
@@ -128,39 +123,42 @@ def _scaled(coef: Fraction, a: Fraction, b: Fraction, c: Fraction, z: Fraction) 
     return coef * hyp2f1_terminating(a, b, c, z)
 
 
-def contiguous_check(
-    relation: ContiguousRelation, a: Scalar, b: Scalar, c: Scalar, z: Scalar
-) -> bool:
-    """Exact check of one Gauss contiguous relation (or the derivative formula).
+# Gauss's contiguous relations, each sum of coef * F(a+da, b+db, c+dc; z) = 0,
+# as (coef, da, db, dc) terms in evaluation order.
+_GAUSS_RELATIONS = {
+    # c(1-z) F - c F(a-1) + (c-b) z F(c+1) = 0
+    "R38": lambda a, b, c, z: (
+        (c * (1 - z), 0, 0, 0),
+        (-c, -1, 0, 0),
+        ((c - b) * z, 0, 0, 1),
+    ),
+    # (b-a) F + a F(a+1) - b F(b+1) = 0
+    "R32": lambda a, b, c, z: (
+        (b - a, 0, 0, 0),
+        (a, 1, 0, 0),
+        (-b, 0, 1, 0),
+    ),
+    # [c - 2b + (b-a) z] F + b(1-z) F(b+1) - (c-b) F(b-1) = 0
+    "R40": lambda a, b, c, z: (
+        (c - 2 * b + (b - a) * z, 0, 0, 0),
+        (b * (1 - z), 0, 1, 0),
+        (b - c, 0, -1, 0),
+    ),
+}
 
-    R38:  c(1-z) F - c F(a-1) + (c-b) z F(c+1) = 0
-    R32:  (b-a) F + a F(a+1) - b F(b+1) = 0
-    R40:  [c - 2b + (b-a) z] F + b(1-z) F(b+1) - (c-b) F(b-1) = 0
-    DIFF: d/dz F(a,b,c;z) = (ab/c) F(a+1,b+1,c+1;z), compared coefficient-by-
-          coefficient as polynomials in z (z is ignored).
+CONTIGUOUS_RELATIONS = (*_GAUSS_RELATIONS, "DIFF")
+
+
+def contiguous_check(relation: str, a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> bool:
+    """Exact check of one relation of CONTIGUOUS_RELATIONS: a Gauss contiguous
+    relation, whose `_GAUSS_RELATIONS` terms must sum to zero, or the derivative
+    formula
+
+        DIFF: d/dz F(a,b,c;z) = (ab/c) F(a+1,b+1,c+1;z),
+
+    compared coefficient-by-coefficient as polynomials in z (z is ignored).
     """
     a, b, c, z = map(parse_rational, (a, b, c, z))
-    if relation == "R38":
-        value = (
-            _scaled(c * (1 - z), a, b, c, z)
-            - _scaled(c, a - 1, b, c, z)
-            + _scaled((c - b) * z, a, b, c + 1, z)
-        )
-        return value == 0
-    if relation == "R32":
-        value = (
-            _scaled(b - a, a, b, c, z)
-            + _scaled(a, a + 1, b, c, z)
-            - _scaled(b, a, b + 1, c, z)
-        )
-        return value == 0
-    if relation == "R40":
-        value = (
-            _scaled(c - 2 * b + (b - a) * z, a, b, c, z)
-            + _scaled(b * (1 - z), a, b + 1, c, z)
-            - _scaled(c - b, a, b - 1, c, z)
-        )
-        return value == 0
     if relation == "DIFF":
         lhs = hyp2f1_poly(a, b, c).derivative()
         if a == 0 or b == 0:
@@ -168,4 +166,7 @@ def contiguous_check(
         else:
             rhs = (a * b / c) * hyp2f1_poly(a + 1, b + 1, c + 1)
         return lhs == rhs
-    raise ValueError(f"unknown relation {relation!r}; expected one of {CONTIGUOUS_RELATIONS}")
+    if relation not in CONTIGUOUS_RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}; expected one of {CONTIGUOUS_RELATIONS}")
+    terms = _GAUSS_RELATIONS[relation](a, b, c, z)
+    return sum(_scaled(coef, a + da, b + db, c + dc, z) for coef, da, db, dc in terms) == 0

@@ -82,11 +82,12 @@ class GammaPolynomialSet(NamedTuple):
 class StationaryPointCertificate(NamedTuple):
     """Outcome of the consecutive-B stationary-point check.
 
-    `bracket` isolates the unique root of B_{m+1}' in (0,1) to the requested
-    width; `diff_lo`/`diff_hi` are B_{m+1} - B_m at the bracket endpoints, so
-    diff_lo * diff_hi <= 0 certifies the two polynomials meet inside it.  All
-    three are None when B_{m+1}' does not go from negative at 0 to positive at
-    1: that step of the proof failed, and the certificate does not hold.
+    `bracket` isolates the unique root of B_{m+1}' in (0,1) to width
+    LEMMA210_WIDTH; `diff_lo`/`diff_hi` are B_{m+1} - B_m at the bracket
+    endpoints, so diff_lo * diff_hi <= 0 certifies the two polynomials meet
+    inside it.  All three are None when B_{m+1}' does not go from negative at
+    0 to positive at 1: that step of the proof failed, and the certificate
+    does not hold.
     """
 
     m: int
@@ -127,10 +128,8 @@ class StationaryPointCertificate(NamedTuple):
 
 _STD_PAIR = CovarianceMatrix.diagonal([1, 1])
 
-
-def _even_pair_moment(u_half: int, v_half: int) -> Fraction:
-    """E[U^{2i} V^{2j}] for independent standard normals, via the moment engine."""
-    return gaussian_moment(_STD_PAIR, (2 * u_half, 2 * v_half))
+# Bracket width of the lemma 2.10 root isolation.
+LEMMA210_WIDTH = Fraction(1, 2**20)
 
 
 def build_gamma_polynomials(m: int, n: int, r: int) -> GammaPolynomialSet:
@@ -144,9 +143,12 @@ def build_gamma_polynomials(m: int, n: int, r: int) -> GammaPolynomialSet:
         raise ValueError(f"need m, n >= 0 and r >= 1, got m={m}, n={n}, r={r}")
     coeffs = []
     for i in range(2 * r + 1):
+        # E[U^{2(m+j)} V^{2(n+2r-j)}] for independent standard normals, through
+        # the moment engine.
         inner = sum(
             (
-                math.comb(i, j) * _even_pair_moment(m + j, n + 2 * r - j)
+                math.comb(i, j)
+                * gaussian_moment(_STD_PAIR, (2 * (m + j), 2 * (n + 2 * r - j)))
                 for j in range(i + 1)
             ),
             Fraction(0),
@@ -180,11 +182,6 @@ def check_lemma29(m: int, n: int, r: int) -> InequalityVerdict:
     return InequalityVerdict("lemma29", {"m": m, "n": n, "r": r}, residue, Fraction(0), "==")
 
 
-def interior_gammas(count: int) -> list[Fraction]:
-    """count evenly spaced rationals strictly inside (0,1)."""
-    return [Fraction(t, count + 1) for t in range(1, count + 1)]
-
-
 def check_H_positivity(
     m: int, n: int, r: int, sample_count: int = 50
 ) -> list[InequalityVerdict]:
@@ -202,7 +199,8 @@ def check_H_positivity(
                 "H_nn_half_zero", {"m": m, "n": n, "r": r}, h(half), Fraction(0), "=="
             )
         )
-    for gamma in interior_gammas(sample_count):
+    for t in range(1, sample_count + 1):
+        gamma = Fraction(t, sample_count + 1)
         if m == n and gamma == half:
             continue
         base = {"m": m, "n": n, "r": r, "gamma": gamma}
@@ -213,14 +211,13 @@ def check_H_positivity(
     return verdicts
 
 
-def check_lemma210(
-    m: int, n: int, r: int, width: Scalar = Fraction(1, 2**20)
-) -> StationaryPointCertificate:
+def check_lemma210(m: int, n: int, r: int) -> StationaryPointCertificate:
     """Certify that B_{m+1} and B_m agree at the minimum point of B_{m+1}.
 
-    The derivative root gamma_{m+1} is isolated in (0,1) by exact bisection;
-    B_{m+1} - B_m must change sign (or vanish) inside the bracket.  Without the
-    derivative's sign change there is no bracket and the certificate fails.
+    The derivative root gamma_{m+1} is isolated in (0,1) by exact bisection to
+    a bracket of width LEMMA210_WIDTH; B_{m+1} - B_m must change sign (or
+    vanish) inside it.  Without the derivative's sign change there is no
+    bracket and the certificate fails.
     For m = n the derivative of B_{n+1} at 1/2 is also reported: its positive
     sign is the exact certificate that gamma_{n+1} < 1/2.
     """
@@ -232,7 +229,7 @@ def check_lemma210(
     at_half = db(Fraction(1, 2)) if m == n else None
     if not (db(0) < 0 < db(1)):
         return StationaryPointCertificate(m, n, r, None, None, None, at_half)
-    lo, hi = isolate_root(db, 0, 1, width)
+    lo, hi = isolate_root(db, 0, 1, LEMMA210_WIDTH)
     diff = b_next - b_curr
     return StationaryPointCertificate(
         m, n, r, (lo, hi), diff(lo), diff(hi), derivative_at_half=at_half
@@ -383,24 +380,15 @@ def check_lemma31(m: int, n: int, a: Scalar, sigma2: Scalar) -> InequalityVerdic
     """Strict inequality for the rank-deficient triple of `degenerate_covariance`:
 
         E[X^{2m} Y^{2m} Z^{2n}] > E[X^{2m}] E[Y^{2m}] E[Z^{2n}]
+
+    Both sides are check_thm32's on that covariance; only the relation is strict.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     a, sigma2 = parse_rational(a), parse_rational(sigma2)
-    cov3 = degenerate_covariance(a, sigma2)
-    lhs = gaussian_moment(cov3, (2 * m, 2 * m, 2 * n))
-    rhs = (
-        univariate_even_moment(cov3.entries[0][0], m)
-        * univariate_even_moment(cov3.entries[1][1], m)
-        * univariate_even_moment(Fraction(1), n)
-    )
-    return InequalityVerdict(
-        "lemma31",
-        {"m": m, "n": n, "a": a, "b": a - 1, "sigma2": sigma2},
-        lhs,
-        rhs,
-        relation=">",
-    )
+    params = {"m": m, "n": n, "a": a, "b": a - 1, "sigma2": sigma2}
+    base = check_thm32(m, n, degenerate_covariance(a, sigma2))
+    return base._replace(claim="lemma31", params=params, relation=">")
 
 
 def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:

@@ -34,6 +34,7 @@ from gpi_lab import (
 )
 from gpi_lab._pairing import pairing_moment
 from gpi_lab.cli import SweepConfig, run_sweep
+from gpi_lab.verifier import LEMMA210_WIDTH
 
 HALF = Fraction(1, 2)
 KUMMER_BS = (Fraction(1, 3), HALF, Fraction(3, 2), Fraction(7, 3))
@@ -109,13 +110,12 @@ def test_criterion_06_H_properties():
 
 def test_criterion_07_stationary_point_certificates():
     with criterion("7 B_{m+1} meets B_m inside a 2^-20 bracket (m,n<=3, r<=2)", 60.0):
-        width = Fraction(1, 2**20)
         for r in range(1, 3):
             for n in range(4):
                 for m in range(n, 4):
-                    cert = check_lemma210(m, n, r, width)
+                    cert = check_lemma210(m, n, r)
                     lo, hi = cert.bracket
-                    assert hi - lo <= width, (m, n, r)
+                    assert hi - lo <= LEMMA210_WIDTH, (m, n, r)
                     assert cert.stationary_values_agree, (m, n, r)
                     if m == n:
                         assert cert.derivative_at_half is not None

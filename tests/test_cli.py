@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gpi_lab import cli, verifier
+from gpi_lab import cli, specialfn, verifier
 from gpi_lab.cli import covariance_hash, main
 from gpi_lab.core import Polynomial
 from gpi_lab.moments import CovarianceMatrix
@@ -189,6 +189,24 @@ class TestIdentities:
             "L_zero_polynomial",
         }
         assert "failed=0" in err
+
+    def test_refuted_identity_exits_1(self, capsys, monkeypatch):
+        real = cli.check_symmetric_identity
+
+        def refuted_once(n, r):
+            verdict = real(n, r)
+            return verdict._replace(lhs=verdict.lhs + 1) if (n, r) == (1, 2) else verdict
+
+        monkeypatch.setattr(cli, "check_symmetric_identity", refuted_once)
+        code, out, err = run_cli(
+            capsys, "identities", "--n-max", "2", "--r-max", "2", "--l-max", "2"
+        )
+        assert code == 1
+        assert "failed=1" in err
+        refuted = [v for v in map(json.loads, out.splitlines()) if not v["holds"]]
+        assert [(v["identity"], v["params"]) for v in refuted] == [
+            ("symmetric_identity", {"n": 1, "r": 2})
+        ]
 
     @pytest.mark.parametrize(
         "ranges",
@@ -383,6 +401,25 @@ class TestHyp:
         assert doc["pfaff_holds"] is True
         assert doc["contiguous"] == {"relation": "R38", "holds": True}
 
+    @pytest.mark.parametrize("relation", ["R38", "R32", "R40"])
+    def test_skewed_series_refutes_both_laws(self, capsys, monkeypatch, relation):
+        # Every series but F(a, b, c; z) itself is off by one.
+        real = specialfn.hyp2f1_terminating
+        base = (Fraction(-2), Fraction(1, 2), Fraction(-7, 2), Fraction(1, 4))
+
+        def skewed(*params):
+            return real(*params) + (0 if params == base else 1)
+
+        monkeypatch.setattr(specialfn, "hyp2f1_terminating", skewed)
+        code, out, err = run_cli(
+            capsys, "hyp", "--a=-2", "--b=1/2", "--c=-7/2", "--z=1/4",
+            "--pfaff", "--contiguous", relation,
+        )
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["pfaff_holds"] is False
+        assert doc["contiguous"] == {"relation": relation, "holds": False}
+
     def test_non_terminating_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "hyp", "--a=1/2", "--b=1", "--c=1", "--z=0")
         assert code == 2
@@ -400,6 +437,22 @@ class TestSweep:
         assert len(records) == 40
         assert all(rec["holds"] for rec in records)
         assert "records=40" in err and "failures=0" in err
+
+    def test_refuted_draw_exits_1(self, capsys, monkeypatch):
+        real = cli.check_thm32
+        calls = []
+
+        def refuted_once(m, n, cov):
+            verdict = real(m, n, cov)
+            calls.append((m, n))
+            return verdict._replace(rhs=verdict.lhs + 1) if len(calls) == 6 else verdict
+
+        monkeypatch.setattr(cli, "check_thm32", refuted_once)
+        code, out, err = run_cli(capsys, "sweep", "--seed", "7", "--count", "3")
+        assert code == 1
+        assert "failures=1" in err
+        refuted = [rec for rec in map(json.loads, out.splitlines()) if not rec["holds"]]
+        assert [(rec["draw"], rec["m"], rec["n"]) for rec in refuted] == [(1, 1, 2)]
 
     def test_diagonal_draws_hit_equality(self, capsys):
         code, out, _ = run_cli(
@@ -652,12 +705,11 @@ class TestUsage:
     def test_zero_denominator_is_usage_error(self, argv):
         assert_one_line_error(run_python(["-m", "gpi_lab", *argv]), 2, "gpi-lab: error:")
 
-    @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_nonpositive_lemma210_width_is_usage_error(self, width):
-        # Before the check, bisection to a width <= 0 never returned.
-        argv = ["check", "--claim", "lemma210", "--m", "1", "--n", "1", "--r", "2"]
-        proc = run_python(["-m", "gpi_lab", *argv, f"--width={width}"])
-        assert_one_line_error(proc, 2, "gpi-lab: error: need width > 0")
+    def test_lemma210_width_is_not_an_option(self, capsys):
+        # The bracket width is verifier.LEMMA210_WIDTH for every caller.
+        code, out, err = run_cli(capsys, "check", "--claim", "lemma210", "--width", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --width 1" in err
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken():

@@ -14,7 +14,6 @@ from gpi_lab import (
     Polynomial,
     SplitMix64,
     check_kummer_classical,
-    check_lemma210,
     check_lemma31,
     check_prop21,
     check_thm22,
@@ -96,7 +95,6 @@ class TestRationalSerialization:
             pytest.param(lambda: check_prop21(1, 1, 1, 0.1, 1), id="check_prop21"),
             pytest.param(lambda: check_thm22(1, 1, 1, 1, 0.1), id="check_thm22"),
             pytest.param(lambda: check_kummer_classical(1, 0.1), id="check_kummer_classical"),
-            pytest.param(lambda: check_lemma210(1, 1, 1, 0.1), id="check_lemma210"),
         ],
     )
     def test_binary_float_refused_at_every_entry_point(self, call):

@@ -18,6 +18,8 @@ from gpi_lab import (
     pfaff_check,
     pochhammer,
 )
+from gpi_lab import specialfn
+from gpi_lab.core import Polynomial
 from gpi_lab.specialfn import hyp2f1_poly
 
 from conftest import rationals
@@ -231,3 +233,62 @@ class TestContiguous:
             c = Fraction(gen.randint(-6, 5)) + HALF
             z = Fraction(gen.randint(-6, 6), gen.randint(1, 5))
             assert contiguous_check(relation, a, b, c, z), (relation, a, b, c, z)
+
+
+# A law must be refutable: with one series of the law off, it must not hold.
+A, B, C, Z = Fraction(-2), HALF, Fraction(-7, 2), Fraction(1, 4)
+
+
+def skew_series(monkeypatch, *skewed):
+    """hyp2f1_terminating, off by one at each (a, b, c, z) in `skewed`."""
+    real = specialfn.hyp2f1_terminating
+
+    def off_by_one(a, b, c, z):
+        value = real(a, b, c, z)
+        return value + 1 if (a, b, c, z) in skewed else value
+
+    monkeypatch.setattr(specialfn, "hyp2f1_terminating", off_by_one)
+
+
+class TestLawsAreRefutable:
+    def test_every_law_holds_unskewed(self):
+        assert pfaff_check(A, B, C, Z)
+        for relation in ("R38", "R32", "R40", "DIFF"):
+            assert contiguous_check(relation, A, B, C, Z), relation
+
+    @pytest.mark.parametrize(
+        "relation, shift",
+        [
+            ("R38", (0, 0, 0)),
+            ("R38", (-1, 0, 0)),
+            ("R38", (0, 0, 1)),
+            ("R32", (0, 0, 0)),
+            ("R32", (1, 0, 0)),
+            ("R32", (0, 1, 0)),
+            ("R40", (0, 0, 0)),
+            ("R40", (0, 1, 0)),
+            ("R40", (0, -1, 0)),
+        ],
+        ids=str,
+    )
+    def test_contiguous_relation_refutes_a_skewed_series(self, monkeypatch, relation, shift):
+        da, db, dc = shift
+        skew_series(monkeypatch, (A + da, B + db, C + dc, Z))
+        assert contiguous_check(relation, A, B, C, Z) is False
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_pfaff_refutes_a_skewed_side(self, monkeypatch, side):
+        skewed = (A, B, C, -Z) if side == "lhs" else (A, C - B, C, Z / (1 + Z))
+        skew_series(monkeypatch, skewed)
+        assert pfaff_check(A, B, C, Z) is False
+
+    @pytest.mark.parametrize("params", [(A, B, C), (A + 1, B + 1, C + 1)], ids=["F", "F+1"])
+    def test_diff_refutes_a_skewed_polynomial(self, monkeypatch, params):
+        real = specialfn.hyp2f1_poly
+
+        def off_by_z(a, b, c):
+            poly = real(a, b, c)
+            return poly + Polynomial([0, 1]) if (a, b, c) == params else poly
+
+        monkeypatch.setattr(specialfn, "hyp2f1_poly", off_by_z)
+        assert contiguous_check("DIFF", A, B, C, Z) is False

@@ -28,14 +28,13 @@ from gpi_lab import (
     counterexample_wei,
     half_binomial,
     hyp2f1_terminating,
-    interior_gammas,
     pochhammer,
     random_covariance,
     univariate_even_moment,
 )
 from gpi_lab import verifier
-from gpi_lab._pairing import pairing_moment
-from gpi_lab.verifier import WEI_COUNTEREXAMPLE_COV, degenerate_covariance
+from gpi_lab._pairing import pairing_moment, wick_moment
+from gpi_lab.verifier import LEMMA210_WIDTH, WEI_COUNTEREXAMPLE_COV, degenerate_covariance
 
 from conftest import principal_minor
 
@@ -175,14 +174,14 @@ class TestHPositivity:
             scale = 2 ** (m + n + 2 * r) * pochhammer(HALF, m) * pochhammer(HALF, n + 2 * r)
             bound = 1 / half_binomial(n + 2 * r, r)
             assert shift / scale == bound
-            for gamma in interior_gammas(25):
+            for gamma in (Fraction(t, 26) for t in range(1, 26)):
                 assert ps.B(gamma) > bound
                 assert (ps.H(gamma) > 0) == (ps.B(gamma) - bound > 0)
 
 
 class TestLemma210:
     def test_base_case(self):
-        cert = check_lemma210(0, 0, 1, Fraction(1, 1024))
+        cert = check_lemma210(0, 0, 1)
         assert cert.stationary_values_agree
         assert cert.min_left_of_half
         assert cert.bracket[1] < HALF
@@ -210,13 +209,12 @@ class TestLemma210:
             assert flipped.as_dict()["holds"] is False
 
     def test_grid_certificates(self):
-        width = Fraction(1, 2**20)
         for r in range(1, 3):
             for n in range(4):
                 for m in range(n, 4):
-                    cert = check_lemma210(m, n, r, width)
+                    cert = check_lemma210(m, n, r)
                     lo, hi = cert.bracket
-                    assert hi - lo <= width
+                    assert hi - lo <= LEMMA210_WIDTH
                     assert cert.stationary_values_agree, (m, n, r)
 
     def test_failed_sign_change_is_a_false_certificate(self, monkeypatch):
@@ -407,6 +405,28 @@ class TestLemma31:
                     for n in range(1, 4):
                         v = check_lemma31(m, n, a, sigma2)
                         assert v.lhs > v.rhs, (a, sigma2, m, n)
+
+    GRID = [
+        (a, sigma2)
+        for a in (Fraction(-1), Fraction(-1, 2), HALF, Fraction(1), Fraction(2))
+        for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4))
+    ] + [(Fraction(2), Fraction(0))]
+
+    @pytest.mark.parametrize("a, sigma2", GRID, ids=str)
+    def test_both_sides_match_independent_routes(self, a, sigma2):
+        # lhs by the Wick recursion, rhs as the product of the three
+        # univariate moments on the singular covariance.
+        cov = degenerate_covariance(a, sigma2)
+        var_x, var_y = cov.entries[0][0], cov.entries[1][1]
+        for m in range(1, 4):
+            for n in range(1, 4):
+                v = check_lemma31(m, n, a, sigma2)
+                assert v.lhs == wick_moment(cov, (2 * m, 2 * m, 2 * n)), (a, sigma2, m, n)
+                assert v.rhs == (
+                    univariate_even_moment(var_x, m)
+                    * univariate_even_moment(var_y, m)
+                    * univariate_even_moment(Fraction(1), n)
+                ), (a, sigma2, m, n)
 
     def test_rank_one_boundary(self):
         # sigma2 = 0 collapses (X, Y, Z) onto multiples of Z; still strict.
