@@ -10,13 +10,14 @@ byte-identical reports; the only randomness source is the seeded generator.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import contextlib
 import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Polynomial, SplitMix64, format_rational
 from .identities import (
@@ -83,18 +84,35 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
 
 
 def covariance_hash(cov: CovarianceMatrix) -> str:
+    # Imported here: hashlib loads OpenSSL, and only sweep reports hash.
+    import hashlib
+
     canon = f"{cov.dim};" + ";".join(
         ",".join(format_rational(x) for x in row) for row in cov.entries
     )
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
-def _emit(text: str, path: str | None) -> None:
+def _write_lines(lines: Iterable[str], path: str | None) -> None:
+    """Stream lines to stdout, or to `path` through `<path>.partial`, which
+    replaces `path` only once every line is written and is removed on failure."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.writelines(lines)
+        return
+    partial = path + ".partial"
+    try:
+        fh = open(partial, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = path  # name the path the user gave
+        raise
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def cmd_moment(args) -> int:
@@ -144,29 +162,29 @@ def polynomial_L_verdicts(r_max: int) -> Iterator[IdentityVerdict]:
         yield IdentityVerdict("L_zero_polynomial", {"r": r}, residue, Fraction(0))
 
 
-def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
-    """Every identity family at the requested ranges, as JSON-ready dicts."""
+def identity_suite(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVerdict]:
+    """Every identity family at the requested ranges, in report order; the
+    ranges are checked at once, the verdicts decided as they are read."""
     if n_max < 0 or r_max < 1 or l_max < 1:
         raise ValueError(
             f"need n_max >= 0 and r_max, l_max >= 1, "
             f"got n_max={n_max}, r_max={r_max}, l_max={l_max}"
         )
-    verdicts = itertools.chain(
-        identity_verdicts(n_max, r_max, l_max),
-        polynomial_L_verdicts(r_max),
-    )
-    return [v.as_dict() for v in verdicts]
+    return itertools.chain(identity_verdicts(n_max, r_max, l_max), polynomial_L_verdicts(r_max))
+
+
+def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
+    """Every identity family at the requested ranges, as JSON-ready dicts."""
+    return [v.as_dict() for v in identity_suite(n_max, r_max, l_max)]
 
 
 def cmd_identities(args) -> int:
-    verdicts = run_identity_suite(args.n_max, args.r_max, args.l_max)
-    for verdict in verdicts:
-        print(json.dumps(verdict))
-    failed = sum(1 for v in verdicts if not v["holds"])
-    print(
-        f"identities: total={len(verdicts)} failed={failed}",
-        file=sys.stderr,
-    )
+    total = failed = 0
+    for verdict in identity_suite(args.n_max, args.r_max, args.l_max):
+        print(json.dumps(verdict.as_dict()))
+        total += 1
+        failed += not verdict.holds
+    print(f"identities: total={total} failed={failed}", file=sys.stderr)
     return 0 if failed == 0 else 1
 
 
@@ -246,65 +264,86 @@ def _diagonal_covariance(gen: SplitMix64, q: int) -> CovarianceMatrix:
     return CovarianceMatrix.diagonal(diag)
 
 
-def _sweep_point(idx: int, cov: CovarianceMatrix, m_max: int, n_max: int) -> list[dict]:
-    digest = covariance_hash(cov)
-    records = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            verdict = check_thm32(m, n, cov)
-            records.append(
-                {
-                    "draw": idx,
-                    "cov_hash": digest,
-                    "m": m,
-                    "n": n,
-                    "lhs": format_rational(verdict.lhs),
-                    "rhs": format_rational(verdict.rhs),
-                    "holds": verdict.holds,
-                    "equality": verdict.equality,
-                }
-            )
-    return records
-
-
-def run_sweep(config: SweepConfig) -> list[dict]:
-    """Draw `count` 3x3 covariances from the seed and record every theorem check."""
+def sweep_draws(
+    config: SweepConfig,
+) -> Iterator[tuple[int, CovarianceMatrix, list[tuple[int, int, InequalityVerdict]]]]:
+    """Each draw's index, covariance and (m, n, thm32 verdict) for m <= m_max,
+    n <= n_max, one draw at a time; run_sweep checks the config."""
     seed, count, q, m_max, n_max, diagonal = config
+    gen = SplitMix64(seed)
+    for idx in range(count):
+        if diagonal:
+            cov = _diagonal_covariance(gen, q)
+        else:
+            cov = random_covariance(gen, 3, q)
+        verdicts = [
+            (m, n, check_thm32(m, n, cov))
+            for m in range(1, m_max + 1)
+            for n in range(1, n_max + 1)
+        ]
+        yield idx, cov, verdicts
+
+
+def _sweep_records(config: SweepConfig) -> Iterator[dict]:
+    for idx, cov, verdicts in sweep_draws(config):
+        digest = covariance_hash(cov)
+        for m, n, verdict in verdicts:
+            yield {
+                "draw": idx,
+                "cov_hash": digest,
+                "m": m,
+                "n": n,
+                "lhs": format_rational(verdict.lhs),
+                "rhs": format_rational(verdict.rhs),
+                "holds": verdict.holds,
+                "equality": verdict.equality,
+            }
+
+
+def run_sweep(config: SweepConfig) -> Iterator[dict]:
+    """Draw `count` 3x3 covariances from the seed and record every theorem
+    check; the config is checked at once, the records made as they are read."""
+    _, count, q, m_max, n_max, _ = config
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if m_max < 1 or n_max < 1:
         raise ValueError(f"need m_max, n_max >= 1, got m_max={m_max}, n_max={n_max}")
-    gen = SplitMix64(seed)
-    records = []
-    for idx in range(count):
-        if diagonal:
-            cov = _diagonal_covariance(gen, q)
-        else:
-            cov = random_covariance(gen, 3, q)
-        records += _sweep_point(idx, cov, m_max, n_max)
-    return records
+    return _sweep_records(config)
 
 
 SWEEP_FIELDS = ("draw", "cov_hash", "m", "n", "lhs", "rhs", "holds", "equality")
 
 
-def render_sweep_json(records: list[dict]) -> str:
-    return "\n".join(json.dumps(record) for record in records) + "\n"
+def _json_line(record: dict) -> str:
+    return json.dumps(record) + "\n"
 
 
-def render_sweep_csv(records: list[dict]) -> str:
-    """A header line and one line per record; no field ever needs quoting."""
-    lines = [",".join(SWEEP_FIELDS)]
-    for record in records:
-        cells = (record[field] for field in SWEEP_FIELDS)
-        lines.append(
-            ",".join(
-                ("true" if v else "false") if isinstance(v, bool) else str(v) for v in cells
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _csv_line(record: dict) -> str:
+    """One record as a CSV line; no field ever needs quoting."""
+    cells = (record[field] for field in SWEEP_FIELDS)
+    return ",".join(
+        ("true" if v else "false") if isinstance(v, bool) else str(v) for v in cells
+    ) + "\n"
+
+
+# Per format: the header line and the line of one record.
+SWEEP_LINES: dict[str, tuple[str, Callable[[dict], str]]] = {
+    "json": ("", _json_line),
+    "csv": (",".join(SWEEP_FIELDS) + "\n", _csv_line),
+}
+
+
+def render_sweep_json(records: Iterable[dict]) -> str:
+    # an empty report is one empty line
+    return "".join(map(_json_line, records)) or "\n"
+
+
+def render_sweep_csv(records: Iterable[dict]) -> str:
+    """A header line and one line per record."""
+    header, line = SWEEP_LINES["csv"]
+    return header + "".join(map(line, records))
 
 
 def cmd_sweep(args) -> int:
@@ -317,13 +356,23 @@ def cmd_sweep(args) -> int:
         diagonal=args.diagonal,
     )
     records = run_sweep(config)
-    renderer = render_sweep_json if args.format == "json" else render_sweep_csv
-    _emit(renderer(records), args.out)
-    holds = sum(1 for rec in records if rec["holds"])
-    equalities = sum(1 for rec in records if rec["equality"])
-    failures = len(records) - holds
+    header, line = SWEEP_LINES[args.format]
+    total = holds = equalities = 0
+
+    def report() -> Iterator[str]:
+        nonlocal total, holds, equalities
+        for rec in records:
+            if total == 0:
+                yield header  # with the first record, so an error in the first draw prints nothing
+            total += 1
+            holds += rec["holds"]
+            equalities += rec["equality"]
+            yield line(rec)
+
+    _write_lines(report(), args.out)
+    failures = total - holds
     print(
-        f"sweep: draws={config.count} records={len(records)} holds={holds} "
+        f"sweep: draws={config.count} records={total} holds={holds} "
         f"failures={failures} equalities={equalities}",
         file=sys.stderr,
     )
@@ -370,10 +419,12 @@ def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator[bo
                         yield check_lemma31(m, n, a, sigma2).holds
 
     def sweep():
-        for rec in run_sweep(draws):
-            yield rec["holds"]
-        for rec in run_sweep(diagonal_draws):
-            yield rec["equality"]
+        for _, _, verdicts in sweep_draws(draws):
+            for _, _, v in verdicts:
+                yield v.holds
+        for _, _, verdicts in sweep_draws(diagonal_draws):
+            for _, _, v in verdicts:
+                yield v.equality
 
     return [
         ("counterexample (39 < 43)", counterexample()),
@@ -523,6 +574,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader of stdout is gone (`| head`): point stdout at the null
+            # device, so the flush at exit does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"gpi-lab: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -50,8 +50,12 @@ def half_binomial(n: int, k: int) -> Fraction:
     )
 
 
+def _terminates(a: Fraction) -> bool:
+    return a.denominator == 1 and a <= 0
+
+
 def _termination_order(a: Fraction) -> int:
-    if a.denominator != 1 or a > 0:
+    if not _terminates(a):
         raise ValueError(f"first parameter must be a nonpositive integer, got {a}")
     return -int(a)
 
@@ -116,9 +120,9 @@ def pfaff_check(a: Scalar, b: Scalar, c: Scalar, z: Scalar) -> bool:
 
 
 def _scaled(coef: Fraction, a: Fraction, b: Fraction, c: Fraction, z: Fraction) -> Fraction:
-    # Zero coefficients short-circuit so a shifted series that would fail to
-    # terminate is never evaluated when it does not contribute.
-    if coef == 0:
+    # A zero coefficient drops a shifted series that does not terminate.  A
+    # terminating one is still evaluated, so a pole raises instead of vanishing.
+    if coef == 0 and not _terminates(a):
         return Fraction(0)
     return coef * hyp2f1_terminating(a, b, c, z)
 

@@ -155,14 +155,14 @@ def test_criterion_09_degenerate_triples_strict():
 
 def test_criterion_10_randomized_theorem_sweep():
     with criterion("10 thm32 sweep: 1000 seeded Gram covariances, m,n<=2", 300.0):
-        records = run_sweep(
+        records = list(run_sweep(
             SweepConfig(seed=20260810, count=1000, q=4, m_max=2, n_max=2)
-        )
+        ))
         assert len(records) == 4000
         assert all(rec["holds"] for rec in records)
-        diag_records = run_sweep(
+        diag_records = list(run_sweep(
             SweepConfig(seed=99, count=25, q=4, m_max=2, n_max=2, diagonal=True)
-        )
+        ))
         assert diag_records and all(rec["equality"] for rec in diag_records)
 
 

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -425,6 +426,24 @@ class TestHyp:
         assert code == 2
         assert "nonpositive integer" in err
 
+    @pytest.mark.parametrize("a", ["-2", "0"])
+    def test_pole_behind_a_zero_coefficient_is_usage_error(self, capsys, a):
+        # At c = 0, R38's term -c F(a-1, b, c) is 0 times a pole: the relation is
+        # undefined there, not refuted.
+        code, out, err = run_cli(
+            capsys, "hyp", f"--a={a}", "--b=1", "--c=0", "--z=1/2", "--contiguous", "R38"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("gpi-lab: error: lower parameter c=0 hits a pole")
+
+    def test_zero_coefficient_drops_a_non_terminating_series(self, capsys):
+        # R32's a F(a+1) at a = 0: F(1, 1, 1) does not terminate and is not needed.
+        code, out, _ = run_cli(
+            capsys, "hyp", "--a=0", "--b=1", "--c=1", "--z=1/2", "--contiguous", "R32"
+        )
+        assert code == 0
+        assert json.loads(out)["contiguous"] == {"relation": "R32", "holds": True}
+
 
 class TestSweep:
     def test_records_hold_and_summary(self, capsys):
@@ -508,6 +527,104 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_HEAVY_CSV_SHA256
 
+    def test_memory_does_not_grow_with_the_count(self, tmp_path, capsys):
+        def peak(count: int) -> int:
+            argv = [
+                "sweep", "--seed", "7", "--count", str(count),
+                "--format", "csv", "--out", str(tmp_path / "r.csv"),
+            ]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(40)  # fills the moment engine's caches
+        small = peak(40)
+        assert peak(400) < 1.5 * small
+
+    def test_internal_error_keeps_the_earlier_report(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_thm32
+        calls = []
+
+        def broken_on_draw_2(m, n, cov):
+            calls.append((m, n))
+            if len(calls) == 9:  # m, n <= 2: four checks per draw
+                raise RuntimeError("draw 2")
+            return real(m, n, cov)
+
+        monkeypatch.setattr(cli, "check_thm32", broken_on_draw_2)
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier report\n")
+        code, out, err = run_cli(
+            capsys, "sweep", "--seed", "7", "--count", "5", "--out", str(path)
+        )
+        assert (code, out) == (3, "")
+        assert err == "gpi-lab: internal error: RuntimeError: draw 2\n"
+        assert path.read_bytes() == b"earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_out_replaced_by_a_complete_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier report\n")
+        base = ["sweep", "--seed", "7", "--count", "3"]
+        code, stdout_report, _ = run_cli(capsys, *base)
+        assert run_cli(capsys, *base, "--out", str(path))[:2] == (code, "")
+        assert path.read_text() == stdout_report
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_unwritable_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sweep_draws", lambda config: pytest.fail("drew"))
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, "sweep", "--seed", "7", "--count", "3", "--out", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"gpi-lab: error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+    def test_closed_stdout_is_one_usage_error(self):
+        # As in `gpi-lab sweep --count 3000 | head -n 1`.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-m", "gpi_lab", "sweep", "--seed", "1", "--count", "3000"]
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["draw"] == 0
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert code == 2
+        assert err == "gpi-lab: error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            ([], False),
+            (["verify", "--quick"], False),
+            (["identities", "--n-max", "2", "--r-max", "2", "--l-max", "2"], False),
+            (["sweep", "--seed", "1", "--count", "2"], True),
+        ],
+        ids=["import", "verify", "identities", "sweep"],
+    )
+    def test_only_sweep_loads_openssl(self, argv, loads):
+        # hashlib loads OpenSSL's libcrypto; only the sweep's covariance hash needs it.
+        probe = (
+            "import sys, gpi_lab.cli as cli; "
+            f"argv = {argv!r}; "
+            "code = cli.main(argv) if argv else 0; "
+            "print('_hashlib' in sys.modules); "
+            "sys.exit(code)"
+        )
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads)
+
     def test_import_leaves_process_pool_unloaded(self):
         # Sweeps run in this process; importing the CLI loads no process pool.
         probe = (
@@ -533,7 +650,9 @@ class TestSweep:
         proc = run_python(["-m", "gpi_lab", *argv])
         assert_one_line_error(proc, 2, "gpi-lab: error: q must be >= 1, got 0")
 
-    @pytest.mark.parametrize("draws", [["--diagonal"], []], ids=["diagonal", "gram"])
+    @pytest.mark.parametrize(
+        "draws", [["--diagonal"], [], ["--format", "csv"]], ids=["diagonal", "gram", "csv"]
+    )
     @pytest.mark.parametrize("q", [str(2**63), str(10**20)])
     def test_q_beyond_64_bits_is_usage_error(self, draws, q):
         # Before the check, randint's rejection limit was 0 and the draw never ended.
@@ -617,7 +736,7 @@ class TestVerify:
 
     def test_seed_reaches_the_sweep(self, capsys, monkeypatch):
         configs = []
-        monkeypatch.setattr(cli, "run_sweep", lambda config: configs.append(config) or [])
+        monkeypatch.setattr(cli, "sweep_draws", lambda config: configs.append(config) or [])
         for mode, gram_count in ((["--quick"], 100), ([], 1000)):
             configs.clear()
             code, out, _ = run_cli(capsys, "verify", *mode, "--seed", "5")
