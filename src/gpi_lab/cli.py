@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -93,25 +94,48 @@ def covariance_hash(cov: CovarianceMatrix) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
 
 
+def _open_report(path: str):
+    """Open `path` for a report.  Returns the file and, when the report goes
+    through `<path>.partial` to replace `path` once complete, that name."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    # Only a missing path, or a plain writable file with no second hard link,
+    # is replaced; a symlink, a directory, a FIFO or a device is opened itself.
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK)):
+        partial = path + ".partial"
+        with contextlib.suppress(OSError):
+            fh = open(partial, "w", encoding="utf-8", newline="")
+            try:
+                if st is not None:  # the new file keeps the old one's owner and mode
+                    os.fchown(fh.fileno(), st.st_uid, st.st_gid)
+                    os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            except OSError:
+                fh.close()
+                os.remove(partial)
+                raise
+            return fh, partial
+    return open(path, "w", encoding="utf-8", newline=""), None
+
+
 def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    """Stream lines to stdout, or to `path` through `<path>.partial`, which
-    replaces `path` only once every line is written and is removed on failure."""
+    """Stream lines to stdout or to `path`.  Through `<path>.partial`, `path`
+    is replaced only once every line is written; on failure the partial file
+    is removed."""
     if path is None:
         sys.stdout.writelines(lines)
         return
-    partial = path + ".partial"
-    try:
-        fh = open(partial, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        exc.filename = path  # name the path the user gave
-        raise
+    fh, partial = _open_report(path)
     try:
         with fh:
             fh.writelines(lines)
-        os.replace(partial, path)
+        if partial is not None:
+            os.replace(partial, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
+        if partial is not None:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
         raise
 
 
@@ -574,12 +598,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            # The reader of stdout is gone (`| head`): point stdout at the null
-            # device, so the flush at exit does not fail a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         print(f"gpi-lab: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -590,5 +608,22 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(digit_limit)
 
 
+def run() -> None:
+    """The `gpi-lab` program: run `main` and exit with its code."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone (`| head`): point stdout at the null
+        # device, so the flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if code < 2:  # `main` finished, but its report was lost
+            print(f"gpi-lab: error: {exc}", file=sys.stderr)
+            code = 2
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

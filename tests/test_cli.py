@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -55,12 +60,45 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def cli_env(buffered: bool) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this gpi_lab, its
+    stdout block-buffered (as in a pipe) or not."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this gpi_lab; a hang fails the test."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+@contextlib.contextmanager
+def fifo_reader(path: Path, max_lines: int | None = None) -> Iterator[list[str]]:
+    """Make a FIFO at `path` and read up to `max_lines` lines from it in a
+    thread; yields the list they go to, complete once the block exits."""
+    os.mkfifo(path)
+    read_fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    hold = os.open(path, os.O_WRONLY)  # no end of file before the block exits
+    os.set_blocking(read_fd, True)
+    lines: list[str] = []
+
+    def read() -> None:
+        with open(read_fd, encoding="utf-8", newline="") as fh:
+            lines.extend(itertools.islice(fh, max_lines))
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    try:
+        yield lines
+    finally:
+        os.close(hold)
+        reader.join(timeout=60)
 
 
 def assert_one_line_error(proc: subprocess.CompletedProcess, code: int, prefix: str) -> None:
@@ -574,18 +612,77 @@ class TestSweep:
         assert path.read_text() == stdout_report
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
-    def test_unwritable_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("missing/report.json", "[Errno 2] No such file or directory"),
+            ("dir", "[Errno 21] Is a directory"),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch, name, error):
         monkeypatch.setattr(cli, "sweep_draws", lambda config: pytest.fail("drew"))
-        path = tmp_path / "missing" / "report.json"
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / name
         code, out, err = run_cli(
             capsys, "sweep", "--seed", "7", "--count", "3", "--out", str(path)
         )
         assert (code, out) == (2, "")
-        assert err == f"gpi-lab: error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        assert err == f"gpi-lab: error: {error}: {str(path)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
-    def test_closed_stdout_is_one_usage_error(self):
+    def test_replaced_out_keeps_its_mode(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier report\n")
+        path.chmod(0o640)
+        assert main(["sweep", "--seed", "7", "--count", "3", "--out", str(path)]) == 0
+        assert path.read_text().startswith('{"draw": 0,')
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_linked_out_is_written_in_place(self, tmp_path, capsys, link):
+        # Replacing the path would cut the link; the report must reach the linked file.
+        target = tmp_path / "target.json"
+        target.write_bytes(b"earlier report\n")
+        path = tmp_path / "report.json"
+        if link == "symlink":
+            path.symlink_to(target)
+        else:
+            os.link(target, path)
+        base = ["sweep", "--seed", "7", "--count", "3"]
+        code, stdout_report, _ = run_cli(capsys, *base)
+        assert run_cli(capsys, *base, "--out", str(path))[:2] == (code, "")
+        assert target.read_text() == stdout_report
+        assert path.is_symlink() == (link == "symlink")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "target.json"]
+
+    def test_fifo_out_stays_a_fifo(self, tmp_path, capsys):
+        # A FIFO stands in for any non-regular target, such as a device.
+        path = tmp_path / "report.fifo"
+        base = ["sweep", "--seed", "7", "--count", "3"]
+        code, stdout_report, _ = run_cli(capsys, *base)
+        with fifo_reader(path) as lines:
+            assert run_cli(capsys, *base, "--out", str(path))[:2] == (code, "")
+        assert "".join(lines) == stdout_report
+        assert stat.S_ISFIFO(path.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+    def test_closed_fifo_out_is_one_usage_error(self, tmp_path, capsys):
+        # The broken pipe is the report's, not stdout's: stdout stays usable.
+        path = tmp_path / "report.fifo"
+        with fifo_reader(path, max_lines=1) as lines:
+            code, out, err = run_cli(
+                capsys, "sweep", "--seed", "1", "--count", "3000", "--out", str(path)
+            )
+        assert json.loads(lines[0])["draw"] == 0
+        assert (code, out, err) == (2, "", "gpi-lab: error: [Errno 32] Broken pipe\n")
+        print("stdout still open")
+        assert capsys.readouterr().out == "stdout still open\n"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_one_usage_error(self, buffered):
         # As in `gpi-lab sweep --count 3000 | head -n 1`.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env = cli_env(buffered)
         argv = [sys.executable, "-m", "gpi_lab", "sweep", "--seed", "1", "--count", "3000"]
         proc = subprocess.Popen(
             argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
@@ -601,6 +698,21 @@ class TestSweep:
             proc.stderr.close()
         assert code == 2
         assert err == "gpi-lab: error: [Errno 32] Broken pipe\n"
+
+    def test_report_lost_at_exit_is_one_usage_error(self):
+        # A short buffered report is only flushed at exit; its reader is already gone.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = cli_env(buffered=True)
+        argv = [sys.executable, "-m", "gpi_lab", "poly", "--which", "G", "--m", "1", "--n", "1"]
+        try:
+            proc = subprocess.run(
+                argv, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "gpi-lab: error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize(
         "argv, loads",
