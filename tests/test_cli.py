@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
@@ -23,8 +25,8 @@ import pytest
 
 from gpi_lab import cli, specialfn, verifier
 from gpi_lab.cli import covariance_hash, main
-from gpi_lab.core import Polynomial
-from gpi_lab.moments import CovarianceMatrix
+from gpi_lab.core import Polynomial, SplitMix64
+from gpi_lab.moments import CovarianceMatrix, random_covariance
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
 # `sweep --seed 7 --count 1000 --q 4` on stdout, and
@@ -33,6 +35,11 @@ SWEEP_LIGHT_SHA256 = "a0e311b97a5e3e2613ee0d489878b354f948c82dff6cb3550ad6c4958d
 SWEEP_HEAVY_CSV_SHA256 = "d8a556d407dd8074d2e911679d5fbff89a58b14d91e8d4b2046537bd197d0101"
 
 WEI_JSON = {"dim": 3, "entries": [["1", "1", "1"], ["1", "5", "-3"], ["1", "-3", "5"]]}
+# The first 16 hex digits of SHA-256 over "3;1,1,1;1,5,-3;1,-3,5".
+WEI_COV_HASH = "01e1ba954bb51e07"
+RATIONAL_COV = CovarianceMatrix(
+    [["2", "-1/2", "1/3"], ["-1/2", "3/4", "-1/5"], ["1/3", "-1/5", "7/6"]]
+)
 
 
 @pytest.fixture
@@ -68,6 +75,20 @@ def cli_env(buffered: bool) -> dict[str, str]:
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
     return env
+
+
+def hashlib_cov_hash(cov: CovarianceMatrix) -> str:
+    """covariance_hash computed with hashlib, the CLI's canonical string rebuilt here."""
+    canon = f"{cov.dim};" + ";".join(",".join(str(x) for x in row) for row in cov.entries)
+    return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
+
+
+def native_sha256(module: str):
+    """`module`'s sha256, or None where this Python has no such module."""
+    try:
+        return importlib.import_module(module).sha256
+    except ImportError:
+        return None
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -715,27 +736,29 @@ class TestSweep:
         assert proc.stderr == "gpi-lab: error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize(
-        "argv, loads",
+        "argv",
         [
-            ([], False),
-            (["verify", "--quick"], False),
-            (["identities", "--n-max", "2", "--r-max", "2", "--l-max", "2"], False),
-            (["sweep", "--seed", "1", "--count", "2"], True),
+            [],
+            ["verify", "--quick"],
+            ["identities", "--n-max", "2", "--r-max", "2", "--l-max", "2"],
+            ["sweep", "--seed", "1", "--count", "2"],
+            ["sweep", "--seed", "1", "--count", "2", "--format", "csv", "--out", "{out}"],
         ],
-        ids=["import", "verify", "identities", "sweep"],
+        ids=["import", "verify", "identities", "sweep-json", "sweep-csv-out"],
     )
-    def test_only_sweep_loads_openssl(self, argv, loads):
-        # hashlib loads OpenSSL's libcrypto; only the sweep's covariance hash needs it.
+    def test_no_command_loads_openssl(self, tmp_path, argv):
+        # Covariance hashes use CPython's own SHA-256; hashlib would map OpenSSL.
+        argv = [arg.format(out=tmp_path / "sweep.csv") for arg in argv]
         probe = (
             "import sys, gpi_lab.cli as cli; "
             f"argv = {argv!r}; "
             "code = cli.main(argv) if argv else 0; "
-            "print('_hashlib' in sys.modules); "
+            "print(sorted({'_hashlib', '_ssl'} & set(sys.modules))); "
             "sys.exit(code)"
         )
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loads)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_import_leaves_process_pool_unloaded(self):
         # Sweeps run in this process; importing the CLI loads no process pool.
@@ -812,9 +835,51 @@ class TestSweep:
         assert config == cli.SweepConfig(1, 2, q=3, m_max=2, n_max=2, diagonal=False)
 
     def test_covariance_hash_is_stable(self):
-        cov = CovarianceMatrix.from_json(WEI_JSON)
-        assert covariance_hash(cov) == covariance_hash(CovarianceMatrix.from_json(WEI_JSON))
-        assert len(covariance_hash(cov)) == 16
+        # A literal pin: any change to the canonical string shows here.
+        assert covariance_hash(CovarianceMatrix.from_json(WEI_JSON)) == WEI_COV_HASH
+
+    def test_covariance_hash_matches_hashlib(self):
+        gen = SplitMix64(11)
+        covs = [random_covariance(gen, 3, 4) for _ in range(200)]
+        covs += [cli._diagonal_covariance(gen, 4) for _ in range(25)]
+        covs.append(RATIONAL_COV)
+        for cov in covs:
+            assert covariance_hash(cov) == hashlib_cov_hash(cov)
+
+    @pytest.mark.parametrize(
+        "blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=["native", "no-sha2", "neither"]
+    )
+    def test_every_sha256_route_gives_the_same_digest(self, monkeypatch, blocked):
+        # The first of _sha2 and _sha256 this Python has and the test leaves, else hashlib.
+        natives = [native_sha256(name) for name in ("_sha2", "_sha256") if name not in blocked]
+        expected = next(filter(None, natives), hashlib.sha256)
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        constructor = cli._sha256_constructor()
+        assert constructor is expected
+        monkeypatch.setattr(cli, "_new_sha256", None)
+        assert covariance_hash(CovarianceMatrix.from_json(WEI_JSON)) == WEI_COV_HASH
+        assert covariance_hash(RATIONAL_COV) == hashlib_cov_hash(RATIONAL_COV)
+        assert cli._new_sha256 is constructor
+
+    def test_sha2_is_preferred_on_every_python(self, monkeypatch):
+        sha2 = types.ModuleType("_sha2")
+        sha2.sha256 = lambda data: hashlib.sha256(data)
+        monkeypatch.setitem(sys.modules, "_sha2", sha2)
+        assert cli._sha256_constructor() is sha2.sha256
+
+    def test_sha256_is_resolved_once(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return hashlib.sha256
+
+        monkeypatch.setattr(cli, "_sha256_constructor", counted)
+        monkeypatch.setattr(cli, "_new_sha256", None)
+        for _ in range(3):
+            covariance_hash(RATIONAL_COV)
+        assert calls == [1]
 
 
 VERIFY_QUICK_COUNTS = [
