@@ -5,22 +5,24 @@ pairing expansion of Genest & Ouimet, 2022) evaluated in integer arithmetic:
 each covariance is scaled once, at construction, to an integer matrix over the
 least common denominator of its entries, every pairing count is summed as a
 Python int, and a single division at the end gives the rational moment.
-Nothing recurses on the degree.  Each covariance holds one plan per set of
-coordinates asked about: its cross pairs, its level tables of power weights
-and the memoised sub-sums of its levels.  The first moment that needs a plan
-builds it, and a later one that needs longer tables rebuilds it whole, keeping
-its sums.  So every call on one draw shares them: the 36 calls of a heavy
-sweep draw reuse one another's 2-D moments of the last pair.  Plans hold no
-reference to the covariance, so they are freed with the draw.  Their size is
-bounded by the exponents asked: a table reaches at most twice the largest
-exponent asked of its coordinates, and a level holds at most one sum per
-tuple of remainders of its open coordinates, each remainder at most the
-largest exponent asked of its coordinate.  Covariance validity (exact
-symmetry and positive semidefiniteness) is certified at construction time by
-fraction-free (Bareiss) elimination on the scaled integer matrix, and a
-matrix that fails reports its negative principal minor, read off the
-elimination's pivot.  Rational inputs go through `core.parse_rational`, so
-binary floats are refused and no floating point is involved anywhere.
+Each covariance holds one plan per set of coordinates asked about: its cross
+pairs, its level tables of power weights and the memoised sub-sums of its
+levels.  The sum is one memoised descent through the levels, one frame deeper
+per nonzero cross pair and never per unit of degree.  The first moment that
+needs a plan builds it, and a later one that needs longer tables rebuilds it
+whole, keeping its sums.  So every call on one draw shares them: the 36 calls
+of a heavy sweep draw reuse one another's 2-D moments of the last pair.  Plans
+hold no reference to the covariance, and the descent makes no reference
+cycle, so they are freed with the draw.  Their size is bounded by the
+exponents asked: a table reaches at most twice the largest exponent asked of
+its coordinates, and a level holds at most one sum per tuple of remainders of
+its open coordinates, each remainder at most the largest exponent asked of
+its coordinate.  Covariance validity (exact symmetry and positive
+semidefiniteness) is certified at construction time by fraction-free
+(Bareiss) elimination on the scaled integer matrix, and a matrix that fails
+reports its negative principal minor, read off the elimination's pivot.
+Rational inputs go through `core.parse_rational`, so binary floats are
+refused and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -299,97 +301,72 @@ def _plan(cov: CovarianceMatrix, k: Exponents) -> _Plan:
     return plan
 
 
-def _pair_sum(plan: _Plan, top: Exponents) -> int:
-    """The sum over plan's cross pairs from the remainders `top`.
+def _last_sum(level: tuple, key: Exponents) -> int:
+    """The innermost level's sum from `key`: the scaled 2-D moment of its pair."""
+    i, j, cross, close_i, close_j = level
+    a, b = key[i], key[j]
+    value = 0
+    if not (a - b) % 2:
+        comb = math.comb
+        for t in range(a % 2, min(a, b) + 1, 2):
+            value += (
+                comb(a, t) * comb(b, t) * cross[t]
+                * close_i[(a - t) >> 1] * close_j[(b - t) >> 1]
+            )
+    return value
+
+
+def _pair_sum(plan: _Plan, key: Exponents, p: int = 0) -> int:
+    """The sum over plan's levels p and below from the remainders `key`,
+    which `plan.sums[p]` does not hold yet; it is stored there and returned.
 
     Level p chooses l = l_ij for its pair (i, j) from the remainders r_i, r_j,
     with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the last pair of a
     coordinate its remainder r - l must be even, and it is closed with weight
     (r-l-1)!! S_cc^((r-l)/2).  The product of these weights along a path is
     the pairing count prod k_i! / (prod l_ij! 2^h prod h_i!) times its
-    covariance product.  A forward pass collects, level by level, the
-    remainders missing from `plan.sums` and computes those of the innermost
-    level, the scaled 2-D moments of the last pair, as it meets them; a
-    backward pass then sums the levels above.
+    covariance product.  A child's sum missing from `plan.sums[p + 1]` is got
+    by descending one level, so the descent is at most one frame per nonzero
+    cross pair deep, never one per unit of degree.
     """
     levels, sums = plan.levels, plan.sums
-    if top in sums[0]:
-        return sums[0][top]
+    if p == len(levels) - 1:
+        value = sums[p][key] = _last_sum(levels[p], key)
+        return value
+    i, j, cross, close_i, close_j = levels[p]
+    below = sums[p + 1]
+    ri, rj = key[i], key[j]
+    if close_i is not None:
+        if close_j is not None and (ri - rj) % 2:
+            counts = ()
+        else:
+            counts = range(ri % 2, min(ri, rj) + 1, 2)
+    elif close_j is not None:
+        counts = range(rj % 2, min(ri, rj) + 1, 2)
+    else:
+        counts = range(min(ri, rj) + 1)
     comb = math.comb
-    innermost = len(levels) - 1
-    # The last pair closes both of its coordinates.
-    li, lj, last_ij, last_i, last_j = levels[innermost]
-
-    def last(key: Exponents) -> int:
-        a, b = key[li], key[lj]
-        value = 0
-        if not (a - b) % 2:
-            for t in range(a % 2, min(a, b) + 1, 2):
-                value += (
-                    comb(a, t) * comb(b, t) * last_ij[t]
-                    * last_i[(a - t) >> 1] * last_j[(b - t) >> 1]
-                )
-        return value
-
-    if not innermost:
-        value = sums[0][top] = last(top)
-        return value
-    pending = []
-    wanted = [top]
-    for p in range(innermost):
-        i, j, cross, close_i, close_j = levels[p]
-        known, below = sums[p], sums[p + 1]
-        deferred = []
-        fresh = {}
-        for key in wanted:
-            ri, rj = key[i], key[j]
-            if close_i is not None:
-                if close_j is not None and (ri - rj) % 2:
-                    counts = ()
-                else:
-                    counts = range(ri % 2, min(ri, rj) + 1, 2)
-            elif close_j is not None:
-                counts = range(rj % 2, min(ri, rj) + 1, 2)
-            else:
-                counts = range(min(ri, rj) + 1)
-            total = 0
-            owed = []
-            for l in counts:
-                weight = comb(ri, l) * comb(rj, l) * cross[l]
-                child = list(key)
-                if close_i is None:
-                    child[i] = ri - l
-                else:
-                    weight *= close_i[(ri - l) >> 1]
-                    child[i] = 0
-                if close_j is None:
-                    child[j] = rj - l
-                else:
-                    weight *= close_j[(rj - l) >> 1]
-                    child[j] = 0
-                child = tuple(child)
-                value = below.get(child)
-                if value is None:
-                    if p + 1 < innermost:
-                        fresh[child] = None
-                        owed.append((weight, child))
-                        continue
-                    value = below[child] = last(child)
-                total += weight * value
-            if owed:
-                deferred.append((key, total, owed))
-            else:
-                known[key] = total
-        pending.append(deferred)
-        wanted = fresh
-    # Every sub-sum still owed waits only on levels below it.
-    for p in range(len(pending) - 1, -1, -1):
-        known, below = sums[p], sums[p + 1]
-        for key, total, owed in pending[p]:
-            for weight, child in owed:
-                total += weight * below[child]
-            known[key] = total
-    return sums[0][top]
+    total = 0
+    for l in counts:
+        weight = comb(ri, l) * comb(rj, l) * cross[l]
+        child = list(key)
+        if close_i is None:
+            child[i] = ri - l
+        else:
+            weight *= close_i[(ri - l) >> 1]
+            child[i] = 0
+        if close_j is None:
+            child[j] = rj - l
+        else:
+            weight *= close_j[(rj - l) >> 1]
+            child[j] = 0
+        child = tuple(child)
+        value = below.get(child)
+        if value is None:
+            value = _pair_sum(plan, child, p + 1)
+        total += weight * value
+    sums[p][key] = total
+    return total
 
 
 def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction:
@@ -422,7 +399,9 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
         base *= double_factorial_odd(h) * scaled[c][c] ** h
         top[c] = 0
     if plan.levels and base:
-        base *= _pair_sum(plan, tuple(top))
+        top = tuple(top)
+        value = plan.sums[0].get(top)
+        base *= _pair_sum(plan, top) if value is None else value
     return Fraction(base, cov.denominator ** (sum(k) // 2))
 
 

@@ -8,9 +8,11 @@ agree with it, with the Wick recursion and with Kan's formula everywhere.
 from __future__ import annotations
 
 import gc
+import inspect
 import itertools
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -334,6 +336,63 @@ class TestMemoisedEngine:
         assert plan.uncrossed == (2,)
         assert list(plan.sums[0]) == [(2, 2, 0)]
 
+    @pytest.mark.parametrize("case", ["full 3x3", "full 4x4"])
+    def test_every_level_agrees_across_query_orders(self, case):
+        # Ascending queries fill the levels below from small keys up; descending
+        # ones reach most keys first through the largest.  A level sum depends
+        # on its key only, so both covariances hold the same value for it.
+        rows = MEMO_CASES[case]
+        d = len(rows)
+        orders = _query_orders(list(itertools.product(range(6 if d == 3 else 4), repeat=d)))
+        up, down = CovarianceMatrix.from_rows(rows), CovarianceMatrix.from_rows(rows)
+        for cov, order in ((up, "ascending"), (down, "descending")):
+            for ks in orders[order]:
+                gaussian_moment(cov, ks)
+        assert up._plans.keys() == down._plans.keys()
+        full = tuple(range(d))
+        for coords, plan in up._plans.items():
+            for p, (mine, theirs) in enumerate(zip(plan.sums, down._plans[coords].sums)):
+                shared = mine.keys() & theirs.keys()
+                assert shared or coords != full, (case, p)
+                for key in shared:
+                    assert mine[key] == theirs[key], (case, coords, p, key)
+            if plan.levels and not plan.uncrossed:
+                # With no coordinate left out of the keys, level 0 holds the
+                # scaled moments themselves.
+                for key, value in plan.sums[0].items():
+                    assert value == wick_moment(up, key) * up.denominator ** (sum(key) // 2)
+
+    def test_deep_plans_match_wick_and_pairings(self):
+        rng = random.Random(20261019)
+        dense = CovarianceMatrix.from_rows([[4 if i == j else 1 for j in range(5)] for i in range(5)])
+        gram = random_covariance(SplitMix64(6), 8, 1)
+        for cov, depth, top in ((dense, 10, 4), (gram, 26, 2)):
+            d = cov.dim
+            queries = [(top,) * d, (1,) * d]
+            queries += [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(40)]
+            for ks in queries:
+                value = gaussian_moment(cov, ks)
+                assert value == wick_moment(cov, ks), ks
+                if sum(ks) <= 8:
+                    assert value == pairing_moment(cov, ks), ks
+            assert len(cov._plans[tuple(range(d))].levels) == depth
+
+    def test_descent_depth_is_bounded_by_the_cross_pairs(self):
+        # Degree 404 on three levels, the large counts at the first level and
+        # then at the last: a frame per unit of degree would pass the lowered
+        # limit, a frame per cross pair stays well inside it.
+        rows = MEMO_CASES["full 3x3"]
+        cov = CovarianceMatrix.from_rows(rows)
+        mirrored = CovarianceMatrix.from_rows([row[::-1] for row in rows[::-1]])
+        queries = [(200, 200, 4), (4, 200, 200)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+        try:
+            values = [gaussian_moment(cov, ks) for ks in queries]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert values == [gaussian_moment(mirrored, ks[::-1]) for ks in queries]
+
 
 class TestTablesPerCovariance:
     """Each covariance carries its own integer form and power tables."""
@@ -365,17 +424,20 @@ class TestTablesPerCovariance:
         assert not hasattr(moments, "_recent_tables")
 
     def test_draw_is_freed_by_refcounting(self):
-        # The tables point at no covariance, so dropping the last reference to
-        # a draw frees it without waiting for the cycle collector.
-        cov = random_covariance(SplitMix64(3), 3, 4)
-        for ks in ((4, 4, 2), (2, 2, 6), (8, 8, 8), (4, 0, 2)):
-            gaussian_moment(cov, ks)
-        assert len(cov._plans) == 2
-        ref = weakref.ref(cov)
+        # The tables point at no covariance and the engine makes no reference
+        # cycle, so dropping the last reference to a draw frees it without
+        # waiting for the cycle collector, which then finds nothing.
+        gc.collect()
         gc.disable()
         try:
+            cov = random_covariance(SplitMix64(3), 3, 4)
+            for ks in ((4, 4, 2), (2, 2, 6), (8, 8, 8), (4, 0, 2)):
+                gaussian_moment(cov, ks)
+            assert len(cov._plans) == 2
+            ref = weakref.ref(cov)
             del cov
             assert ref() is None
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
