@@ -3,13 +3,14 @@
 Every quantity that enters a verdict is an arbitrary-precision rational
 (``fractions.Fraction``); floating point never participates in a comparison.
 Every `Scalar` input in the package is read through `parse_rational`, which
-refuses binary floats.  Polynomials are dense coefficient lists over
-rationals, and root isolation is plain bisection driven by exact sign
-evaluations.
+refuses binary floats.  Polynomials are dense lists of integer numerators
+over one denominator, and root isolation is plain bisection driven by exact
+sign evaluations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -46,99 +47,105 @@ def format_rational(x: Scalar) -> str:
     return str(parse_rational(x))
 
 
-def _integer_coeffs(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer coefficients over the lcm of the denominators, and that lcm."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class Polynomial:
-    """Dense univariate polynomial over rationals; coefficient i multiplies x^i.
+    """Immutable dense polynomial whose x^i coefficient is nums[i] / den.
 
-    Products convolve integer coefficients over a common denominator and
-    reduce once per output coefficient.  Instances are immutable; the zero
-    polynomial stores an empty tuple and reports degree -1.
+    Integer numerators over one denominator, kept canonical: den >= 1,
+    gcd(den, *nums) == 1 and no trailing zero, so zero has no numerators.
+    Arithmetic works on the integers and reduces once per result; evaluation
+    is integer Horner building one Fraction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else parse_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        cs = [parse_rational(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in cs])
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = parse_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = parse_rational(x).as_integer_ratio()
+        acc, scale = 0, 1  # acc ends as sum nums[i] a^i b^(degree - i)
+        for c in reversed(self.nums):
+            acc, scale = acc * a + c * scale, scale * b
+        return Fraction(acc * b, self.den * scale)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return _reduced([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            n = max(len(self.coeffs), len(other.coeffs))
-            a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-            for i, c in enumerate(other.coeffs):
-                a[i] += c
-            return Polynomial(a)
         if isinstance(other, (int, Fraction)):
-            return self + Polynomial([other])
-        return NotImplemented
+            other = Polynomial([other])
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        pairs = itertools.zip_longest(self.nums, other.nums, fillvalue=0)
+        return _reduced([x * sa + y * sb for x, y in pairs], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return _reduced([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (Polynomial, int, Fraction)):
-            return self + (-other if isinstance(other, Polynomial) else Polynomial([-Fraction(other)]))
-        return NotImplemented
+        return self + -other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial()
-            a, da = _integer_coeffs(self.coeffs)
-            b, db = _integer_coeffs(other.coeffs)
+            a, b = self.nums, other.nums
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x == 0:
                     continue
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-            den = da * db
-            return Polynomial(Fraction(c, den) for c in out)
+            return _reduced(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return Polynomial(Fraction(other) * c for c in self.coeffs)
+            k = parse_rational(other)
+            return _reduced([c * k.numerator for c in self.nums], self.den * k.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
+
+
+def _reduced(nums: list[int], den: int) -> Polynomial:
+    """The polynomial nums / den (den > 0), in lowest terms without trailing zeros."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = [c // g for c in nums], den // g
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "nums", tuple(nums))
+    object.__setattr__(p, "den", den)
+    return p
 
 
 def isolate_root(

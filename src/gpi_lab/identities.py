@@ -137,15 +137,6 @@ def check_kummer_classical(r: int, b: Scalar) -> IdentityVerdict:
     )
 
 
-def _rising_poly(shift: Scalar, count: int) -> Polynomial:
-    """(x + shift)_count expanded into coefficients by repeated linear products."""
-    acc = Polynomial([1])
-    shift = Fraction(shift)
-    for j in range(count):
-        acc = acc * Polynomial([shift + j, 1])
-    return acc
-
-
 def build_polynomial_L(r: int) -> Polynomial:
     """The degree-r combination of shifted rising factorials that vanishes identically.
 
@@ -153,14 +144,19 @@ def build_polynomial_L(r: int) -> Polynomial:
                + ((-1)^r / r!) (x+1)_r  -  1
 
     Assembled coefficient-by-coefficient; the zero-polynomial claim is then a
-    statement about every coefficient, not about sampled values.
+    statement about every coefficient, not about sampled values.  Each
+    (x+1+r)_k is built once per r, and (x+1)_i grows one factor per term.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
+    upper = [Polynomial([1])]
+    for k in range(r):
+        upper.append(upper[-1] * Polynomial([1 + r + k, 1]))
+    lower = Polynomial([1])
     total = Polynomial()
     for i in range(r):
-        term = _rising_poly(1 + r, r - i) * _rising_poly(1, i)
-        total = total + ((-1) ** i * math.comb(2 * r, i)) * term
+        total = total + ((-1) ** i * math.comb(2 * r, i)) * (upper[r - i] * lower)
+        lower = lower * Polynomial([1 + i, 1])
     total = Fraction(2 * math.factorial(r), math.factorial(2 * r)) * total
-    total = total + Fraction((-1) ** r, math.factorial(r)) * _rising_poly(1, r)
+    total = total + Fraction((-1) ** r, math.factorial(r)) * lower
     return total - 1

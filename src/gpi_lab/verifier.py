@@ -414,6 +414,8 @@ def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:
 def check_main(m: int, cov3: CovarianceMatrix) -> InequalityVerdict:
     """The three-dimensional product inequality at equal exponents, with the
     equality condition (all off-diagonal covariances vanish) recorded."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     base = check_thm32(m, m, cov3)
     return InequalityVerdict(
         "main",

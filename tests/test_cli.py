@@ -29,10 +29,38 @@ from gpi_lab.core import Polynomial, SplitMix64
 from gpi_lab.moments import CovarianceMatrix, random_covariance
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
+# The concatenated stdout of `poly --which G|H|B` for m, n <= 3 and r <= 3; of
+# `check --claim lemma210` on verify's grid (r <= 2, n <= m <= 3); and of
+# `check --claim lemma29` for m, n <= 3 and r <= 3, each in the order of
+# `POLY_ARGVS`, `LEMMA210_ARGVS` and `LEMMA29_ARGVS`.
+POLY_SHA256 = "9843854cf993eac311c1d48b9235653f8f90a027975b90e1ce435b6745b43d12"
+LEMMA210_SHA256 = "3c340f79c1aa39172b7510b78123dd469ce36e6a223842a92c27d9b2370a4118"
+LEMMA29_SHA256 = "2eb49406c6216d26e12690ef457859ed7ea4d96f2d449e4f3d5f9e0e70cf6744"
 # `sweep --seed 7 --count 1000 --q 4` on stdout, and
 # `sweep --seed 7 --count 10 --m-max 6 --n-max 6 --format csv --out FILE`.
 SWEEP_LIGHT_SHA256 = "a0e311b97a5e3e2613ee0d489878b354f948c82dff6cb3550ad6c4958d76584f"
 SWEEP_HEAVY_CSV_SHA256 = "d8a556d407dd8074d2e911679d5fbff89a58b14d91e8d4b2046537bd197d0101"
+
+POLY_ARGVS = [
+    ["poly", "--which", which, "--m", str(m), "--n", str(n), "--r", str(r)]
+    for which in "GHB"
+    for m in range(4)
+    for n in range(4)
+    for r in range(1, 4)
+]
+LEMMA210_ARGVS = [
+    ["check", "--claim", "lemma210", "--m", str(m), "--n", str(n), "--r", str(r)]
+    for r in (1, 2)
+    for n in range(4)
+    for m in range(4)
+    if m >= n
+]
+LEMMA29_ARGVS = [
+    ["check", "--claim", "lemma29", "--m", str(m), "--n", str(n), "--r", str(r)]
+    for m in range(4)
+    for n in range(4)
+    for r in range(1, 4)
+]
 
 WEI_JSON = {"dim": 3, "entries": [["1", "1", "1"], ["1", "5", "-3"], ["1", "-3", "5"]]}
 # The first 16 hex digits of SHA-256 over "3;1,1,1;1,5,-3;1,-3,5".
@@ -65,6 +93,16 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reports_sha256(capsys, argvs: list[list[str]]) -> str:
+    """SHA-256 of the stdout of every command in `argvs`, run in order; each must exit 0."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    return digest.hexdigest()
 
 
 def cli_env(buffered: bool) -> dict[str, str]:
@@ -380,9 +418,26 @@ class TestCheck:
         assert doc["holds"] is True
         assert doc["equality_condition_met"] is False
 
+    @pytest.mark.parametrize(
+        "argvs, expected",
+        [(LEMMA210_ARGVS, LEMMA210_SHA256), (LEMMA29_ARGVS, LEMMA29_SHA256)],
+        ids=["lemma210", "lemma29"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argvs, expected):
+        assert reports_sha256(capsys, argvs) == expected
+
     def test_bad_parameters_are_usage_errors(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--claim", "prop21", "--m", "0")
         assert code == 2
+
+    def test_main_names_only_its_own_exponent(self, capsys, wei_cov_file):
+        # `main` takes no n, so its error must not name one.
+        code, out, err = run_cli(
+            capsys, "check", "--claim", "main", "--m", "0", "--cov", wei_cov_file
+        )
+        assert (code, out) == (2, "")
+        assert err == "gpi-lab: error: need m >= 1, got m=0\n"
+        assert "n=" not in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -443,6 +498,9 @@ class TestPoly:
         code, out, _ = run_cli(capsys, "poly", "--which", "B", "--m", "0", "--n", "0", "--r", "1")
         assert code == 0
         assert json.loads(out)["coefficients"] == ["1", "-8/3", "8/3"]
+
+    def test_gamma_report_bytes_are_pinned(self, capsys):
+        assert reports_sha256(capsys, POLY_ARGVS) == POLY_SHA256
 
 
 class TestHyp:

@@ -229,6 +229,63 @@ class TestPolynomialProduct:
         assert (p * Polynomial([0, Fraction(1, 2), 0])).coeffs == (0, Fraction(1, 2), 1)
 
 
+def fraction_horner(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
+    """Evaluation in running Fractions: the reference for integer Horner."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert all(type(c) is int for c in p.nums) and type(p.den) is int
+    assert p.den >= 1
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+class TestIntegerRepresentation:
+    @given(sparse_polynomials(), sparse_polynomials(), rationals(max_num=9, max_den=7))
+    def test_every_result_is_canonical(self, p, q, c):
+        results = [p, p + q, p - q, p * q, -p, p.derivative(), p * c, c * p, p + c, p - c]
+        for result in results:
+            assert_canonical(result)
+
+    @given(sparse_polynomials())
+    def test_coeffs_are_fractions_that_rebuild_the_polynomial(self, p):
+        assert type(p.coeffs) is tuple
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert Polynomial(p.coeffs) == p
+
+    def test_equal_values_from_different_spellings(self):
+        a = Polynomial(["2/4", 3, "-6/4", "0/5"])
+        b = Polynomial([Fraction(1, 2), Fraction(3), Fraction(-3, 2)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert (a.nums, a.den) == ((1, 6, -3), 2)
+
+    @given(sparse_polynomials(), st.integers(-12, 12), rationals(max_num=30, max_den=24))
+    def test_evaluation_matches_fraction_horner(self, p, k, x):
+        for point in (Fraction(0), Fraction(k), x, -x, -abs(x) - 1):
+            assert p(point) == fraction_horner(p.coeffs, point)
+        assert p(0) == (p.coeffs[0] if p.coeffs else 0)
+
+    @given(sparse_polynomials(), rationals(max_num=9, max_den=7))
+    def test_derivative_and_scalar_subtraction_match_fractions(self, p, c):
+        assert p.derivative().coeffs == tuple(i * a for i, a in enumerate(p.coeffs))[1:]
+        expected = list(p.coeffs) or [Fraction(0)]
+        expected[0] -= c
+        while expected and expected[-1] == 0:
+            expected.pop()
+        assert (p - c).coeffs == tuple(expected)
+
+    def test_booleans_refused(self):
+        with pytest.raises(ValueError, match="refusing bool"):
+            Polynomial([1, True])
+        with pytest.raises(ValueError, match="refusing bool"):
+            Polynomial([1, 1])(False)
+
+
 class TestIsolateRoot:
     def test_brackets_half(self):
         p = Polynomial([-1, 0, 4])  # 4x^2 - 1
