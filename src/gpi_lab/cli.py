@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -84,9 +85,12 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad exponent list {text!r}: {exc}") from None
 
 
+@functools.cache
 def _sha256_constructor() -> Callable:
     """CPython's own SHA-256 (`_sha2` on 3.12+, `_sha256` before); hashlib,
-    which loads OpenSSL's libcrypto, only on a build with neither."""
+    which loads OpenSSL's libcrypto, only on a build with neither.  Cached,
+    so it is resolved once per process, on the first hash: a failed import
+    costs about 90 us, and only sweep reports hash."""
     try:
         from _sha2 import sha256
     except ImportError:
@@ -97,19 +101,11 @@ def _sha256_constructor() -> Callable:
     return sha256
 
 
-_new_sha256: Callable | None = None
-
-
 def covariance_hash(cov: CovarianceMatrix) -> str:
-    # Resolved on the first hash, once per process: a failed import costs
-    # about 90 us, and only sweep reports hash.
-    global _new_sha256
-    if _new_sha256 is None:
-        _new_sha256 = _sha256_constructor()
     canon = f"{cov.dim};" + ";".join(
         ",".join(format_rational(x) for x in row) for row in cov.entries
     )
-    return _new_sha256(canon.encode("ascii")).hexdigest()[:16]
+    return _sha256_constructor()(canon.encode("ascii")).hexdigest()[:16]
 
 
 def _open_report(path: str):

@@ -66,6 +66,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor, since
+        # the default restores the slots through __setattr__.
+        return (Polynomial, (self.coeffs,))
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, constant term first."""
@@ -104,7 +109,10 @@ class Polynomial:
         return _reduced([-c for c in self.nums], self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        return self + -other
+        # Scalars are read as polynomials first, so a bool is refused as in +.
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial([other])
+        return self + -other if isinstance(other, Polynomial) else NotImplemented
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):

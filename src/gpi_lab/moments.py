@@ -317,8 +317,10 @@ def _last_sum(level: tuple, key: Exponents) -> int:
 
 
 def _pair_sum(plan: _Plan, key: Exponents, p: int = 0) -> int:
-    """The sum over plan's levels p and below from the remainders `key`,
-    which `plan.sums[p]` does not hold yet; it is stored there and returned.
+    """The sum over plan's levels p and below from the remainders `key`; it
+    is stored in `plan.sums[p]` and returned.  Below level 0 `key` is never
+    held yet.  At level 0, where `gaussian_moment` enters, it may be: the sum
+    is then recomputed from its memoised children, so one level's work.
 
     Level p chooses l = l_ij for its pair (i, j) from the remainders r_i, r_j,
     with weight C(r_i, l) C(r_j, l) l! S_ij^l.  At the last pair of a
@@ -399,9 +401,7 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
         base *= double_factorial_odd(h) * scaled[c][c] ** h
         top[c] = 0
     if plan.levels and base:
-        top = tuple(top)
-        value = plan.sums[0].get(top)
-        base *= _pair_sum(plan, top) if value is None else value
+        base *= _pair_sum(plan, tuple(top))
     return Fraction(base, cov.denominator ** (sum(k) // 2))
 
 

@@ -416,13 +416,8 @@ def check_main(m: int, cov3: CovarianceMatrix) -> InequalityVerdict:
     equality condition (all off-diagonal covariances vanish) recorded."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    base = check_thm32(m, m, cov3)
-    return InequalityVerdict(
-        "main",
-        {"m": m},
-        base.lhs,
-        base.rhs,
-        equality_condition_met=cov3.is_diagonal(),
+    return check_thm32(m, m, cov3)._replace(
+        claim="main", params={"m": m}, equality_condition_met=cov3.is_diagonal()
     )
 
 

@@ -8,7 +8,8 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from gpi_lab import CovarianceMatrix, Polynomial
+from gpi_lab.core import Polynomial
+from gpi_lab.moments import CovarianceMatrix
 
 
 def rationals(max_num: int = 50, max_den: int = 20) -> st.SearchStrategy[Fraction]:

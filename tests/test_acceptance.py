@@ -11,30 +11,30 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from gpi_lab import (
-    CovarianceMatrix,
-    SplitMix64,
-    build_gamma_polynomials,
+from gpi_lab._pairing import pairing_moment
+from gpi_lab.cli import SweepConfig, run_sweep
+from gpi_lab.core import SplitMix64
+from gpi_lab.identities import (
     build_polynomial_L,
-    check_H_positivity,
-    check_cor23,
     check_corollary28,
     check_kummer_classical,
     check_lemma25,
     check_lemma27,
-    check_lemma29,
-    check_lemma210,
-    check_lemma31,
     check_symmetric_identity,
+)
+from gpi_lab.moments import CovarianceMatrix, gaussian_moment, random_covariance
+from gpi_lab.specialfn import half_binomial
+from gpi_lab.verifier import (
+    LEMMA210_WIDTH,
+    build_gamma_polynomials,
+    check_H_positivity,
+    check_cor23,
+    check_lemma210,
+    check_lemma29,
+    check_lemma31,
     check_thm22,
     counterexample_wei,
-    gaussian_moment,
-    half_binomial,
-    random_covariance,
 )
-from gpi_lab._pairing import pairing_moment
-from gpi_lab.cli import SweepConfig, run_sweep
-from gpi_lab.verifier import LEMMA210_WIDTH
 
 HALF = Fraction(1, 2)
 KUMMER_BS = (Fraction(1, 3), HALF, Fraction(3, 2), Fraction(7, 3))

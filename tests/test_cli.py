@@ -23,6 +23,7 @@ from typing import Iterator
 
 import pytest
 
+import gpi_lab
 from gpi_lab import cli, specialfn, verifier
 from gpi_lab.cli import covariance_hash, main
 from gpi_lab.core import Polynomial, SplitMix64
@@ -119,6 +120,14 @@ def hashlib_cov_hash(cov: CovarianceMatrix) -> str:
     """covariance_hash computed with hashlib, the CLI's canonical string rebuilt here."""
     canon = f"{cov.dim};" + ";".join(",".join(str(x) for x in row) for row in cov.entries)
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:16]
+
+
+@pytest.fixture
+def fresh_sha256():
+    """The SHA-256 constructor resolved anew inside the test, and again after it."""
+    cli._sha256_constructor.cache_clear()
+    yield
+    cli._sha256_constructor.cache_clear()
 
 
 def native_sha256(module: str):
@@ -481,6 +490,40 @@ class TestReadmeCommands:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: {command}")
+
+
+def readme_quick_start() -> str:
+    """The code block of README's library quick start."""
+    section = README.read_text(encoding="utf-8").split("\n## Library quick start\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeLibrary:
+    def test_quick_start_results_match_its_comments(self):
+        # Each expression line's repr is what its comment shows, up to any ':'.
+        namespace: dict = {}
+        shown = []
+        for line in readme_quick_start().splitlines():
+            code, _, comment = line.partition("#")
+            try:
+                expression = compile(code, "README.md", "eval")
+            except SyntaxError:
+                exec(code, namespace)
+                continue
+            result = repr(eval(expression, namespace))
+            assert result == comment.split(":", 1)[0].strip(), line
+            shown.append(result)
+        assert shown == ["Fraction(39, 1)", "(True, False)"]
+
+    def test_namespace_holds_only_the_documented_names(self):
+        names = {
+            name
+            for name, value in vars(gpi_lab).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert names == {"CovarianceMatrix", "gaussian_moment", "check_main", "check_H_positivity"}
+        pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert f'\nversion = "{gpi_lab.__version__}"\n' in pyproject
 
 
 class TestPoly:
@@ -907,37 +950,27 @@ class TestSweep:
     @pytest.mark.parametrize(
         "blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=["native", "no-sha2", "neither"]
     )
-    def test_every_sha256_route_gives_the_same_digest(self, monkeypatch, blocked):
+    def test_every_sha256_route_gives_the_same_digest(self, monkeypatch, fresh_sha256, blocked):
         # The first of _sha2 and _sha256 this Python has and the test leaves, else hashlib.
         natives = [native_sha256(name) for name in ("_sha2", "_sha256") if name not in blocked]
         expected = next(filter(None, natives), hashlib.sha256)
         for name in blocked:
             monkeypatch.setitem(sys.modules, name, None)
-        constructor = cli._sha256_constructor()
-        assert constructor is expected
-        monkeypatch.setattr(cli, "_new_sha256", None)
         assert covariance_hash(CovarianceMatrix.from_json(WEI_JSON)) == WEI_COV_HASH
         assert covariance_hash(RATIONAL_COV) == hashlib_cov_hash(RATIONAL_COV)
-        assert cli._new_sha256 is constructor
+        assert cli._sha256_constructor() is expected
 
-    def test_sha2_is_preferred_on_every_python(self, monkeypatch):
+    def test_sha2_is_preferred_on_every_python(self, monkeypatch, fresh_sha256):
         sha2 = types.ModuleType("_sha2")
         sha2.sha256 = lambda data: hashlib.sha256(data)
         monkeypatch.setitem(sys.modules, "_sha2", sha2)
         assert cli._sha256_constructor() is sha2.sha256
 
-    def test_sha256_is_resolved_once(self, monkeypatch):
-        calls = []
-
-        def counted():
-            calls.append(1)
-            return hashlib.sha256
-
-        monkeypatch.setattr(cli, "_sha256_constructor", counted)
-        monkeypatch.setattr(cli, "_new_sha256", None)
+    def test_sha256_is_resolved_once(self, fresh_sha256):
         for _ in range(3):
             covariance_hash(RATIONAL_COV)
-        assert calls == [1]
+        info = cli._sha256_constructor.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 VERIFY_QUICK_COUNTS = [

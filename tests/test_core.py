@@ -2,32 +2,27 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpi_lab import (
-    CovarianceMatrix,
-    Polynomial,
-    SplitMix64,
-    check_kummer_classical,
-    check_lemma31,
-    check_prop21,
-    check_thm22,
+from gpi_lab.core import Polynomial, SplitMix64, format_rational, isolate_root, parse_rational
+from gpi_lab.identities import check_kummer_classical
+from gpi_lab.moments import CovarianceMatrix, is_psd, univariate_even_moment
+from gpi_lab.specialfn import (
     contiguous_check,
-    format_rational,
+    hyp2f1_poly,
     hyp2f1_terminating,
-    is_psd,
-    isolate_root,
-    parse_rational,
     pfaff_check,
     pochhammer,
-    univariate_even_moment,
 )
-from gpi_lab.specialfn import hyp2f1_poly
+from gpi_lab.verifier import check_lemma31, check_prop21, check_thm22
 
 from conftest import polynomials, rationals
 
@@ -284,6 +279,29 @@ class TestIntegerRepresentation:
             Polynomial([1, True])
         with pytest.raises(ValueError, match="refusing bool"):
             Polynomial([1, 1])(False)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_scalar_operands_are_refused_alike(self, op):
+        p = Polynomial([1])
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"refusing bool {flag}"):
+                op(p, flag)
+        for other in (1.5, "1"):
+            with pytest.raises(TypeError):
+                op(p, other)
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_immutable(self, roundtrip):
+        for p in (Polynomial(["1/2", 3]), Polynomial([]), Polynomial(["-7/6", 0, 4])):
+            q = roundtrip(p)
+            assert q == p
+            assert hash(q) == hash(p)
+            with pytest.raises(AttributeError, match="immutable"):
+                q.nums = ()
 
 
 class TestIsolateRoot:

@@ -7,15 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from gpi_lab import (
+from gpi_lab.identities import (
     build_polynomial_L,
     check_corollary28,
     check_kummer_classical,
     check_lemma25,
     check_lemma27,
     check_symmetric_identity,
-    pochhammer,
 )
+from gpi_lab.specialfn import pochhammer
 
 HALF = Fraction(1, 2)
 

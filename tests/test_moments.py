@@ -20,16 +20,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpi_lab import (
+from gpi_lab import moments
+from gpi_lab._pairing import pairing_moment, wick_moment
+from gpi_lab.core import SplitMix64
+from gpi_lab.moments import (
     CovarianceMatrix,
-    SplitMix64,
     gaussian_moment,
     is_psd,
     random_covariance,
     univariate_even_moment,
 )
-from gpi_lab import moments
-from gpi_lab._pairing import pairing_moment, wick_moment
 
 from conftest import bounded_exponents, gram_covariances, principal_minor
 

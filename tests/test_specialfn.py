@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpi_lab import (
-    SplitMix64,
+from gpi_lab import specialfn
+from gpi_lab.core import Polynomial, SplitMix64
+from gpi_lab.specialfn import (
     contiguous_check,
     double_factorial_odd,
     half_binomial,
+    hyp2f1_poly,
     hyp2f1_terminating,
     pfaff_check,
     pochhammer,
 )
-from gpi_lab import specialfn
-from gpi_lab.core import Polynomial
-from gpi_lab.specialfn import hyp2f1_poly
 
 from conftest import rationals
 

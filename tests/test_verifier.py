@@ -10,15 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpi_lab import (
-    CovarianceMatrix,
-    Polynomial,
-    SplitMix64,
+from gpi_lab import verifier
+from gpi_lab._pairing import pairing_moment, wick_moment
+from gpi_lab.core import Polynomial, SplitMix64
+from gpi_lab.moments import CovarianceMatrix, random_covariance, univariate_even_moment
+from gpi_lab.specialfn import half_binomial, hyp2f1_terminating, pochhammer
+from gpi_lab.verifier import (
+    LEMMA210_WIDTH,
+    WEI_COUNTEREXAMPLE_COV,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
-    check_lemma29,
     check_lemma210,
+    check_lemma29,
     check_lemma31,
     check_main,
     check_min_C,
@@ -26,15 +30,8 @@ from gpi_lab import (
     check_thm22,
     check_thm32,
     counterexample_wei,
-    half_binomial,
-    hyp2f1_terminating,
-    pochhammer,
-    random_covariance,
-    univariate_even_moment,
+    degenerate_covariance,
 )
-from gpi_lab import verifier
-from gpi_lab._pairing import pairing_moment, wick_moment
-from gpi_lab.verifier import LEMMA210_WIDTH, WEI_COUNTEREXAMPLE_COV, degenerate_covariance
 
 from conftest import principal_minor
 
