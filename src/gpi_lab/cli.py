@@ -417,12 +417,11 @@ def cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator[bool]]]:
+def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator]]:
     """Every claim family of the paper, in report order: a name and a lazy
-    stream of exact per-check verdicts.  --quick shrinks every range."""
+    stream of exact verdicts for `_passes`.  --quick shrinks every range."""
     n_max, r_max, l_max = (4, 4, 8) if quick else (8, 8, 20)
-    mn_max = 2 if quick else 3
-    mn = range(mn_max + 1)
+    mn = range((2 if quick else 3) + 1)
     bridge_rs = range(1, (2 if quick else 3) + 1)
     samples = 20 if quick else 50
     draws = SweepConfig(seed=seed, count=100 if quick else 1000, q=4)
@@ -430,55 +429,37 @@ def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator[bo
     half = Fraction(1, 2)
     variances = (half, Fraction(1), Fraction(2))
 
-    def counterexample():
-        yield counterexample_wei() == (39, 43)
-
     def grids():
-        for m in mn:
-            for n in mn:
-                for r in (1, 2):
-                    for a2 in variances:
-                        for b2 in variances:
-                            if m >= 1 and n >= 1:
-                                yield check_prop21(m, n, r, a2, b2).holds
-                            v = check_thm22(m, n, r, a2, b2)
-                            yield v.holds and v.equality == v.equality_condition_met
-                    for s in variances:
-                        for c in (Fraction(0), s / 2, -s / 2):
-                            cov2 = CovarianceMatrix.from_rows([[s, c], [c, s]])
-                            v = check_cor23(m, n, r, cov2)
-                            yield v.holds and v.equality == v.equality_condition_met
-
-    def degenerate():
-        for a in (Fraction(-1), -half, half, Fraction(1), Fraction(2)):
-            for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4)):
-                for m in range(1, mn_max + 1):
-                    for n in range(1, mn_max + 1):
-                        yield check_lemma31(m, n, a, sigma2).holds
+        for m, n, r in itertools.product(mn, mn, (1, 2)):
+            for a2, b2 in itertools.product(variances, variances):
+                if m >= 1 and n >= 1:
+                    yield check_prop21(m, n, r, a2, b2)
+                yield check_thm22(m, n, r, a2, b2)
+            for s in variances:
+                for c in (Fraction(0), s / 2, -s / 2):
+                    yield check_cor23(m, n, r, CovarianceMatrix.from_rows([[s, c], [c, s]]))
 
     def sweep():
         for _, _, verdicts in sweep_draws(draws):
             for _, _, v in verdicts:
-                yield v.holds
+                yield v
+        # Independent coordinates: Thm 3.2's equality case.
         for _, _, verdicts in sweep_draws(diagonal_draws):
             for _, _, v in verdicts:
-                yield v.equality
+                yield v._replace(equality_condition_met=True)
 
     return [
-        ("counterexample (39 < 43)", counterexample()),
-        (
-            "combinatorial identities",
-            (v.holds for v in identity_verdicts(n_max, r_max, l_max)),
-        ),
-        ("auxiliary polynomial L == 0", (v.holds for v in polynomial_L_verdicts(r_max))),
+        ("counterexample (39 < 43)", (counterexample_wei() == (39, 43) for _ in range(1))),
+        ("combinatorial identities", identity_verdicts(n_max, r_max, l_max)),
+        ("auxiliary polynomial L == 0", polynomial_L_verdicts(r_max)),
         (
             "moment/hypergeometric bridge",
-            (check_lemma29(m, n, r).holds for m in mn for n in mn for r in bridge_rs),
+            (check_lemma29(m, n, r) for m in mn for n in mn for r in bridge_rs),
         ),
         (
             "H positivity and convexity witnesses",
             (
-                v.holds
+                v
                 for r in bridge_rs
                 for n in mn
                 for m in mn
@@ -488,22 +469,40 @@ def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator[bo
         ),
         (
             "stationary-point certificates (B_{m+1} vs B_m)",
-            (check_lemma210(m, n, r).holds for r in (1, 2) for n in mn for m in mn if m >= n),
+            (check_lemma210(m, n, r) for r in (1, 2) for n in mn for m in mn if m >= n),
         ),
         ("independent-pair inequality grids", grids()),
-        ("degenerate triples strict", degenerate()),
+        (
+            "degenerate triples strict",
+            (
+                check_lemma31(m, n, a, sigma2)
+                for a in (Fraction(-1), -half, half, Fraction(1), Fraction(2))
+                for sigma2 in (Fraction(1, 4), Fraction(1), Fraction(4))
+                for m in mn[1:]
+                for n in mn[1:]
+            ),
+        ),
         ("randomized theorem sweep", sweep()),
     ]
 
 
+def _passes(verdict: Verdict | IdentityVerdict | bool) -> bool:
+    """`verify`'s one pass rule: the verdict holds and, where it states
+    `equality_condition_met`, it is an equality exactly when that is met."""
+    if isinstance(verdict, bool):  # the counterexample's exact comparison
+        return verdict
+    condition = getattr(verdict, "equality_condition_met", None)
+    return verdict.holds and (condition is None or verdict.equality == condition)
+
+
 def cmd_verify(args) -> int:
     failed_families = 0
-    for name, checks in verification_families(args.quick, args.seed):
+    for name, verdicts in verification_families(args.quick, args.seed):
         start = time.perf_counter()
         total = failed = 0
-        for holds in checks:
+        for verdict in verdicts:
             total += 1
-            failed += not holds
+            failed += not _passes(verdict)
         elapsed = time.perf_counter() - start
         if failed:
             print(f"FAIL {name}: {failed} of {total} exact checks failed")

@@ -3,9 +3,9 @@
 Every quantity that enters a verdict is an arbitrary-precision rational
 (``fractions.Fraction``); floating point never participates in a comparison.
 Every `Scalar` input in the package is read through `parse_rational`, which
-refuses binary floats.  Polynomials are dense lists of integer numerators
-over one denominator, and root isolation is plain bisection driven by exact
-sign evaluations.
+refuses binary floats.  Verdict parameters are held in a read-only dict.
+Polynomials are dense lists of integer numerators over one denominator, and
+root isolation is plain bisection driven by exact sign evaluations.
 """
 
 from __future__ import annotations
@@ -45,6 +45,21 @@ def parse_rational(text: Scalar) -> Fraction:
 def format_rational(x: Scalar) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     return str(parse_rational(x))
+
+
+class FrozenDict(dict):
+    """A read-only dict: item assignment, deletion and the updating methods
+    raise TypeError.  Copy and pickle rebuild it through the constructor."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
 
 
 class Polynomial:
@@ -113,6 +128,9 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         return self + -other if isinstance(other, Polynomial) else NotImplemented
+
+    def __rsub__(self, other) -> "Polynomial":
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):

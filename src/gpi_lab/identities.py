@@ -15,17 +15,29 @@ import operator
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import Polynomial, Scalar, format_rational, parse_rational
+from .core import FrozenDict, Polynomial, Scalar, format_rational, parse_rational
 from .specialfn import hyp2f1_terminating, pochhammer
 
 
-class IdentityVerdict(NamedTuple):
-    """Exact verdict on one identity instance; holds means lhs == rhs."""
-
+class _IdentityFields(NamedTuple):
     identity: str
     params: Mapping[str, object]
     lhs: Fraction
     rhs: Fraction
+
+
+class IdentityVerdict(_IdentityFields):
+    """Exact verdict on one identity instance; holds means lhs == rhs.
+    `params` is frozen into a read-only dict whenever a verdict is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, identity, params, *rest, **kwargs):
+        return super().__new__(cls, identity, FrozenDict(params), *rest, **kwargs)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here
+        return cls(*iterable)
 
     @property
     def holds(self) -> bool:

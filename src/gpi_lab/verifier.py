@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Literal, Mapping, NamedTuple
 
-from .core import Polynomial, Scalar, format_rational, isolate_root, parse_rational
+from .core import FrozenDict, Polynomial, Scalar, format_rational, isolate_root, parse_rational
 from .moments import CovarianceMatrix, gaussian_moment, univariate_even_moment
 from .specialfn import double_factorial_odd, half_binomial, hyp2f1_poly, pochhammer
 
@@ -31,20 +31,32 @@ def _fmt(value) -> object:
     return value
 
 
-class InequalityVerdict(NamedTuple):
-    """Exact verdict on one inequality (or equality) instance.
-
-    `relation` records what the claim asserts: lhs >= rhs, lhs > rhs, or
-    lhs == rhs.  `holds` and `equality` are derived, never stored, so they can
-    not drift out of sync with the rationals.
-    """
-
+class _InequalityFields(NamedTuple):
     claim: str
     params: Mapping[str, object]
     lhs: Fraction
     rhs: Fraction
     relation: Relation = ">="
     equality_condition_met: bool | None = None
+
+
+class InequalityVerdict(_InequalityFields):
+    """Exact verdict on one inequality (or equality) instance.
+
+    `relation` records what the claim asserts: lhs >= rhs, lhs > rhs, or
+    lhs == rhs.  `holds` and `equality` are derived, never stored, so they can
+    not drift out of sync with the rationals.  `params` is frozen into a
+    read-only dict whenever a verdict is built, by `_replace` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, claim, params, *rest, **kwargs):
+        return super().__new__(cls, claim, FrozenDict(params), *rest, **kwargs)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through here
+        return cls(*iterable)
 
     @property
     def holds(self) -> bool:
@@ -383,8 +395,6 @@ def check_lemma31(m: int, n: int, a: Scalar, sigma2: Scalar) -> InequalityVerdic
 
     Both sides are check_thm32's on that covariance; only the relation is strict.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     a, sigma2 = parse_rational(a), parse_rational(sigma2)
     params = {"m": m, "n": n, "a": a, "b": a - 1, "sigma2": sigma2}
     base = check_thm32(m, n, degenerate_covariance(a, sigma2))

@@ -41,6 +41,10 @@ LEMMA29_SHA256 = "2eb49406c6216d26e12690ef457859ed7ea4d96f2d449e4f3d5f9e0e70cf67
 # `sweep --seed 7 --count 10 --m-max 6 --n-max 6 --format csv --out FILE`.
 SWEEP_LIGHT_SHA256 = "a0e311b97a5e3e2613ee0d489878b354f948c82dff6cb3550ad6c4958d76584f"
 SWEEP_HEAVY_CSV_SHA256 = "d8a556d407dd8074d2e911679d5fbff89a58b14d91e8d4b2046537bd197d0101"
+# `verify --quick` and `verify` (default seed) on stdout, with each line's
+# ` in X.XXs` timing removed.
+VERIFY_QUICK_SHA256 = "7aed3f409c85f0ee8f7def9e3b440b8068050c68994f1d0196e46feff5888ad9"
+VERIFY_SHA256 = "4cd13549f3e662c87b0d1a4b179fa5dcbd638b65d3c01e74f59a47823af596ed"
 
 POLY_ARGVS = [
     ["poly", "--which", which, "--m", str(m), "--n", str(n), "--r", str(r)]
@@ -988,6 +992,18 @@ VERIFY_QUICK_COUNTS = [
 FAMILY_LINE = re.compile(r"ok   (.+): (\d+) exact checks in \d+\.\d\ds")
 
 
+def assert_only_family_fails(out: str, index: int, fail_line: str) -> None:
+    """`verify --quick` stdout in which family `index` fails with `fail_line`
+    and every other family passes."""
+    lines = out.splitlines()
+    assert lines[index] == fail_line
+    others = lines[:index] + lines[index + 1 : 9]
+    assert [FAMILY_LINE.fullmatch(line)[1] for line in others] == [
+        name for i, (name, _) in enumerate(VERIFY_QUICK_COUNTS) if i != index
+    ]
+    assert lines[9:] == ["1 family FAILED"]
+
+
 class TestVerify:
     def test_quick_run_verifies_every_family(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--quick")
@@ -1027,13 +1043,67 @@ class TestVerify:
         monkeypatch.setattr(cli, "check_lemma29", refuted_once)
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 1
-        lines = out.splitlines()
-        assert lines[3] == "FAIL moment/hypergeometric bridge: 1 of 18 exact checks failed"
-        others = lines[:3] + lines[4:9]
-        assert [FAMILY_LINE.fullmatch(line)[1] for line in others] == [
-            name for name, _ in VERIFY_QUICK_COUNTS if name != "moment/hypergeometric bridge"
-        ]
-        assert lines[9:] == ["1 family FAILED"]
+        assert_only_family_fails(
+            out, 3, "FAIL moment/hypergeometric bridge: 1 of 18 exact checks failed"
+        )
+
+    @pytest.mark.parametrize("check", ["check_thm22", "check_cor23"])
+    def test_equality_off_its_condition_fails_the_grids(self, capsys, monkeypatch, check):
+        # The verdict still holds; only its equality no longer matches the
+        # stated condition (m = n and a2 = b2, or m = n and E[ZW] = 0).
+        real, calls = getattr(cli, check), itertools.count()
+
+        def flipped_once(*args):
+            verdict = real(*args)
+            if next(calls) == 0:
+                assert verdict.holds and verdict.equality == verdict.equality_condition_met
+                return verdict._replace(equality_condition_met=not verdict.equality_condition_met)
+            return verdict
+
+        monkeypatch.setattr(cli, check, flipped_once)
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        assert_only_family_fails(
+            out, 6, "FAIL independent-pair inequality grids: 1 of 396 exact checks failed"
+        )
+
+    def test_strict_diagonal_draw_fails_the_sweep(self, capsys, monkeypatch):
+        # Independent coordinates must give equality in Thm 3.2, not just >=.
+        real = cli.sweep_draws
+
+        def one_strict_diagonal_verdict(config):
+            for idx, cov, verdicts in real(config):
+                if config.diagonal and idx == 0:
+                    m, n, v = verdicts[0]
+                    verdicts = [(m, n, v._replace(lhs=v.lhs + 1)), *verdicts[1:]]
+                yield idx, cov, verdicts
+
+        monkeypatch.setattr(cli, "sweep_draws", one_strict_diagonal_verdict)
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        assert_only_family_fails(
+            out, 8, "FAIL randomized theorem sweep: 1 of 500 exact checks failed"
+        )
+
+    def test_wrong_counterexample_value_fails_its_family(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "counterexample_wei", lambda: (Fraction(39), Fraction(44)))
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        assert_only_family_fails(
+            out, 0, "FAIL counterexample (39 < 43): 1 of 1 exact checks failed"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [(["--quick"], VERIFY_QUICK_SHA256), ([], VERIFY_SHA256)],
+        ids=["quick", "full"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, mode, expected):
+        code, out, err = run_cli(capsys, "verify", *mode)
+        assert (code, err) == (0, "")
+        untimed, timings = re.subn(r" in \d+\.\d+s$", "", out, flags=re.MULTILINE)
+        assert timings == len(VERIFY_QUICK_COUNTS)
+        assert hashlib.sha256(untimed.encode()).hexdigest() == expected
 
     def test_failed_proof_step_fails_its_family(self, capsys, monkeypatch):
         monkeypatch.setattr(verifier, "build_gamma_polynomials", gamma_as_B)

@@ -242,7 +242,7 @@ def assert_canonical(p: Polynomial) -> None:
 class TestIntegerRepresentation:
     @given(sparse_polynomials(), sparse_polynomials(), rationals(max_num=9, max_den=7))
     def test_every_result_is_canonical(self, p, q, c):
-        results = [p, p + q, p - q, p * q, -p, p.derivative(), p * c, c * p, p + c, p - c]
+        results = [p, p + q, p - q, p * q, -p, p.derivative(), p * c, c * p, p + c, p - c, c - p]
         for result in results:
             assert_canonical(result)
 
@@ -280,7 +280,21 @@ class TestIntegerRepresentation:
         with pytest.raises(ValueError, match="refusing bool"):
             Polynomial([1, 1])(False)
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    @given(sparse_polynomials(), rationals(max_num=9, max_den=7), st.integers(-9, 9))
+    def test_scalar_minus_polynomial_matches_fractions(self, p, c, k):
+        for scalar in (c, k):
+            difference = scalar - p
+            assert type(difference) is Polynomial
+            assert difference == -(p - scalar)
+            assert difference(Fraction(1, 3)) == scalar - p(Fraction(1, 3))
+        assert 1 - Polynomial([1]) == Polynomial([])
+        assert Fraction(1, 2) - Polynomial([0, 1]) == Polynomial(["1/2", -1])
+
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, lambda p, x: x + p, lambda p, x: x - p],
+        ids=["add", "sub", "radd", "rsub"],
+    )
     def test_scalar_operands_are_refused_alike(self, op):
         p = Polynomial([1])
         for flag in (True, False):

@@ -3,6 +3,9 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 
 from __future__ import annotations
 
+import copy
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,11 +16,13 @@ from hypothesis import strategies as st
 from gpi_lab import verifier
 from gpi_lab._pairing import pairing_moment, wick_moment
 from gpi_lab.core import Polynomial, SplitMix64
+from gpi_lab.identities import IdentityVerdict, check_lemma25
 from gpi_lab.moments import CovarianceMatrix, random_covariance, univariate_even_moment
 from gpi_lab.specialfn import half_binomial, hyp2f1_terminating, pochhammer
 from gpi_lab.verifier import (
     LEMMA210_WIDTH,
     WEI_COUNTEREXAMPLE_COV,
+    InequalityVerdict,
     build_gamma_polynomials,
     check_H_positivity,
     check_cor23,
@@ -436,6 +441,11 @@ class TestLemma31:
         with pytest.raises(ValueError, match="need sigma2 >= 0"):
             check_lemma31(1, 1, 1, -1)
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (-1, 2)])
+    def test_exponents_are_checked_by_thm32(self, m, n):
+        with pytest.raises(ValueError, match=rf"^need m, n >= 1, got m={m}, n={n}$"):
+            check_lemma31(m, n, HALF, 1)
+
     def test_covariance_is_rank_deficient(self):
         cov = degenerate_covariance(1, 1)
         assert principal_minor(cov.entries, (0, 1, 2)) == 0
@@ -532,3 +542,60 @@ class TestCounterexample:
         }
         assert doc["lhs"] == "39"
         assert doc["rhs"] == "25"
+
+
+# Verdicts from the constructor, from `_replace` (check_main and check_lemma31
+# build theirs that way) and from the identity suite.
+VERDICT_MAKERS = [
+    pytest.param(lambda: check_lemma29(1, 1, 1), id="lemma29"),
+    pytest.param(lambda: check_thm22(1, 1, 1, 1, 2), id="thm22"),
+    pytest.param(lambda: check_main(1, WEI_COUNTEREXAMPLE_COV), id="main"),
+    pytest.param(lambda: check_lemma31(2, 1, HALF, 1), id="lemma31"),
+    pytest.param(lambda: check_lemma25(1, 2), id="lemma25"),
+    pytest.param(
+        lambda: InequalityVerdict(claim="x", params={"m": 1}, lhs=1, rhs=0)._replace(
+            params={"m": 2}
+        ),
+        id="inequality_replaced",
+    ),
+    pytest.param(
+        lambda: IdentityVerdict("x", {"m": 1}, 1, 1)._replace(params={"m": 2}),
+        id="identity_replaced",
+    ),
+]
+PARAM_CHANGES = [
+    lambda p: p.__setitem__("m", 7),
+    lambda p: p.__delitem__(next(iter(p))),
+    lambda p: p.update(m=7),
+    lambda p: p.setdefault("z", 7),
+    lambda p: p.pop(next(iter(p))),
+    lambda p: p.popitem(),
+    lambda p: p.clear(),
+    lambda p: operator.ior(p, {"m": 7}),
+]
+
+
+class TestFrozenParams:
+    @pytest.mark.parametrize("make", VERDICT_MAKERS)
+    def test_params_refuse_every_change(self, make):
+        v = make()
+        before = v.as_dict()
+        for change in PARAM_CHANGES:
+            with pytest.raises(TypeError, match="read-only"):
+                change(v.params)
+        assert v.as_dict() == before
+
+    @pytest.mark.parametrize("make", VERDICT_MAKERS)
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_frozen(self, make, roundtrip):
+        v = make()
+        w = roundtrip(v)
+        assert w == v
+        assert type(w) is type(v)
+        assert w.as_dict() == v.as_dict()
+        with pytest.raises(TypeError, match="read-only"):
+            w.params["m"] = 7
