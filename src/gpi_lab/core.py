@@ -48,15 +48,27 @@ def format_rational(x: Scalar) -> str:
 
 
 class FrozenDict(dict):
-    """A read-only dict: item assignment, deletion and the updating methods
-    raise TypeError.  Copy and pickle rebuild it through the constructor."""
+    """A read-only, hashable dict: item assignment, deletion and the updating
+    methods raise TypeError.  Copy and pickle rebuild it through the constructor."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls)
+        dict.update(self, *args, **kwargs)
+        return self
+
+    def __init__(self, *args, **kwargs):
+        """Filled once, in `__new__`: a second call changes nothing."""
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        # Over the items as a set, so equal dicts in any key order hash equal.
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return (type(self), (dict(self),))

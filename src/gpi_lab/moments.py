@@ -212,14 +212,6 @@ class CovarianceMatrix:
             )
         return cov
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if i != j
-        )
-
 
 def validate_exponents(cov: CovarianceMatrix, exponents: Sequence[int]) -> Exponents:
     """The exponents as a tuple of ints, one nonnegative integer per coordinate of cov."""

@@ -60,6 +60,10 @@ class InequalityVerdict(_InequalityFields):
 
     @property
     def holds(self) -> bool:
+        """The relation holds and, where `equality_condition_met` is stated,
+        the verdict is an equality exactly when that condition is met."""
+        if self.equality_condition_met not in (None, self.equality):
+            return False
         if self.relation == ">":
             return self.lhs > self.rhs
         if self.relation == "==":
@@ -403,7 +407,8 @@ def check_lemma31(m: int, n: int, a: Scalar, sigma2: Scalar) -> InequalityVerdic
 
 def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:
     """E[X^{2m} Y^{2m} Z^{2n}] >= E[X^{2m}] E[Y^{2m}] E[Z^{2n}] for any centered
-    Gaussian triple with positive variances."""
+    Gaussian triple with positive variances; equality holds exactly for
+    independent coordinates, which the verdict records as the condition flag."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     if cov3.dim != 3:
@@ -418,17 +423,17 @@ def check_thm32(m: int, n: int, cov3: CovarianceMatrix) -> InequalityVerdict:
         * (s[0][0] * s[1][1]) ** m * s[2][2] ** n,
         cov3.denominator ** (2 * m + n),
     )
-    return InequalityVerdict("thm32", {"m": m, "n": n}, lhs, rhs)
+    # S is symmetric, so the upper triangle holds every off-diagonal entry.
+    independent = s[0][1] == s[0][2] == s[1][2] == 0
+    return InequalityVerdict("thm32", {"m": m, "n": n}, lhs, rhs, ">=", independent)
 
 
 def check_main(m: int, cov3: CovarianceMatrix) -> InequalityVerdict:
-    """The three-dimensional product inequality at equal exponents, with the
-    equality condition (all off-diagonal covariances vanish) recorded."""
+    """The three-dimensional product inequality at equal exponents: check_thm32
+    with n = m, an equality exactly when every off-diagonal covariance vanishes."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    return check_thm32(m, m, cov3)._replace(
-        claim="main", params={"m": m}, equality_condition_met=cov3.is_diagonal()
-    )
+    return check_thm32(m, m, cov3)._replace(claim="main", params={"m": m})
 
 
 WEI_COUNTEREXAMPLE_COV = CovarianceMatrix.from_rows(

@@ -358,6 +358,21 @@ class TestCheck:
         assert doc["equality"] is True
         assert doc["equality_condition_met"] is True
 
+    def test_equality_off_its_condition_is_a_refutation(self, capsys, monkeypatch):
+        # m = n = 1 with equal variances is an equality; a verdict that states
+        # its condition unmet there does not hold.
+        real = cli.check_thm22
+        monkeypatch.setattr(
+            cli, "check_thm22", lambda *args: real(*args)._replace(equality_condition_met=False)
+        )
+        code, out, _ = run_cli(
+            capsys, "check", "--claim", "thm22", "--m", "1", "--n", "1", "--r", "1"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["equality"] is True
+        assert doc["holds"] is False
+
     def test_cor23_requires_cov(self, capsys):
         code, _, err = run_cli(capsys, "check", "--claim", "cor23")
         assert code == 2
@@ -415,13 +430,16 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert (doc["lhs"], doc["rhs"]) == ("6", "2")
+        assert doc["equality_condition_met"] is False  # a degenerate triple is never diagonal
 
     def test_thm32_and_main(self, capsys, wei_cov_file):
         code, out, _ = run_cli(
             capsys, "check", "--claim", "thm32", "--m", "1", "--n", "1", "--cov", wei_cov_file
         )
         assert code == 0
-        assert json.loads(out)["rhs"] == "25"
+        doc = json.loads(out)
+        assert doc["rhs"] == "25"
+        assert doc["equality_condition_met"] is False
 
         code, out, _ = run_cli(
             capsys, "check", "--claim", "main", "--m", "1", "--cov", wei_cov_file
@@ -1079,6 +1097,25 @@ class TestVerify:
                 yield idx, cov, verdicts
 
         monkeypatch.setattr(cli, "sweep_draws", one_strict_diagonal_verdict)
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 1
+        assert_only_family_fails(
+            out, 8, "FAIL randomized theorem sweep: 1 of 500 exact checks failed"
+        )
+
+    def test_equal_gram_draw_fails_the_sweep(self, capsys, monkeypatch):
+        # A Gram draw is not diagonal, so Thm 3.2 must be strict there.
+        real = cli.sweep_draws
+
+        def one_equal_gram_verdict(config):
+            for idx, cov, verdicts in real(config):
+                if not config.diagonal and idx == 0:
+                    m, n, v = verdicts[0]
+                    assert v.holds and v.equality_condition_met is False
+                    verdicts = [(m, n, v._replace(lhs=v.rhs)), *verdicts[1:]]
+                yield idx, cov, verdicts
+
+        monkeypatch.setattr(cli, "sweep_draws", one_equal_gram_verdict)
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 1
         assert_only_family_fails(

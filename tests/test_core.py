@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpi_lab.core import Polynomial, SplitMix64, format_rational, isolate_root, parse_rational
+from gpi_lab.core import (
+    FrozenDict,
+    Polynomial,
+    SplitMix64,
+    format_rational,
+    isolate_root,
+    parse_rational,
+)
 from gpi_lab.identities import check_kummer_classical
 from gpi_lab.moments import CovarianceMatrix, is_psd, univariate_even_moment
 from gpi_lab.specialfn import (
@@ -112,6 +119,19 @@ class TestRationalSerialization:
         for value in results:
             assert value.denominator > 0
             assert math.gcd(abs(value.numerator), value.denominator) == 1
+
+
+class TestFrozenDict:
+    def test_key_order_does_not_change_the_hash(self):
+        a, b = FrozenDict(a=1, b=2), FrozenDict(b=2, a=1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_init_does_not_refill(self):
+        d = FrozenDict({"a": 1}, b=2)
+        d.__init__(a=7, c=3)
+        assert d == {"a": 1, "b": 2}
 
 
 class TestPolynomial:

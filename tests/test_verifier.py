@@ -4,6 +4,7 @@ inequality family at hand-checked anchors plus exhaustive small grids."""
 from __future__ import annotations
 
 import copy
+import itertools
 import operator
 import pickle
 import random
@@ -505,6 +506,39 @@ class TestThm32AndMain:
         assert v.holds and not v.equality
         assert v.equality_condition_met is False
 
+    @pytest.mark.parametrize(
+        "cov, independent",
+        [
+            (CovarianceMatrix.diagonal([1, 2, 3]), True),
+            (CovarianceMatrix.diagonal(["1/2", 4, "9/7"]), True),
+            (WEI_COUNTEREXAMPLE_COV, False),
+            (degenerate_covariance(HALF, "1/4"), False),  # its (0, 1) entry is 0
+            (degenerate_covariance(2, 0), False),
+        ],
+        ids=["diagonal", "diagonal_rational", "wei", "degenerate", "rank_one"],
+    )
+    def test_thm32_states_its_equality_condition(self, cov, independent):
+        for m, n in itertools.product(range(1, 3), range(1, 3)):
+            v = check_thm32(m, n, cov)
+            assert v.equality_condition_met is independent
+            assert v.equality is independent
+            assert v.holds
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            CovarianceMatrix.diagonal([1, 2, 3]),
+            WEI_COUNTEREXAMPLE_COV,
+            degenerate_covariance(1, 1),
+        ],
+        ids=["diagonal", "wei", "degenerate"],
+    )
+    def test_main_is_thm32_at_equal_exponents(self, cov):
+        for m in range(1, 4):
+            assert check_main(m, cov) == check_thm32(m, m, cov)._replace(
+                claim="main", params={"m": m}
+            )
+
     def test_main_partial_independence_is_strict(self):
         cov = CovarianceMatrix.from_rows([[1, 0, 0], [0, 1, "1/2"], [0, "1/2", 1]])
         v = check_main(1, cov)
@@ -542,6 +576,29 @@ class TestCounterexample:
         }
         assert doc["lhs"] == "39"
         assert doc["rhs"] == "25"
+
+
+# Per relation and stated equality condition: whether the verdict holds with
+# lhs below, equal to and above rhs.
+HOLDS_TABLE = {
+    (">=", None): (False, True, True),
+    (">", None): (False, False, True),
+    ("==", None): (False, True, False),
+    (">=", True): (False, True, False),
+    (">", True): (False, False, False),
+    ("==", True): (False, True, False),
+    (">=", False): (False, False, True),
+    (">", False): (False, False, True),
+    ("==", False): (False, False, False),
+}
+
+
+@pytest.mark.parametrize("relation, condition", list(HOLDS_TABLE), ids=str)
+def test_holds_reads_relation_and_equality_condition(relation, condition):
+    for lhs, expected in zip((0, 1, 2), HOLDS_TABLE[relation, condition]):
+        v = InequalityVerdict("x", {}, Fraction(lhs), Fraction(1), relation, condition)
+        assert v.holds is expected, lhs
+        assert v.as_dict()["holds"] is expected, lhs
 
 
 # Verdicts from the constructor, from `_replace` (check_main and check_lemma31
@@ -584,6 +641,37 @@ class TestFrozenParams:
             with pytest.raises(TypeError, match="read-only"):
                 change(v.params)
         assert v.as_dict() == before
+
+    @pytest.mark.parametrize("make", VERDICT_MAKERS)
+    def test_params_are_not_refilled_by_init(self, make):
+        v = make()
+        before = v.as_dict()
+        v.params.__init__(m=7)
+        v.params.__init__({"z": 7})
+        assert v.as_dict() == before
+
+    @pytest.mark.parametrize("make", VERDICT_MAKERS)
+    def test_verdicts_hash(self, make):
+        v, w = make(), make()
+        assert hash(v) == hash(w)
+        assert len({v, w}) == 1
+        assert {v: "x"}[w] == "x"
+
+    def test_equal_verdicts_from_other_routes_hash_equal(self):
+        main = check_main(1, WEI_COUNTEREXAMPLE_COV)
+        replaced = check_thm32(1, 1, WEI_COUNTEREXAMPLE_COV)._replace(
+            claim="main", params={"m": 1}
+        )
+        built = InequalityVerdict("main", {"m": 1}, Fraction(39), Fraction(25), ">=", False)
+        assert main == replaced == built
+        assert hash(main) == hash(replaced) == hash(built)
+        assert len({main, replaced, built}) == 1
+        reordered = (
+            InequalityVerdict("x", {"m": 1, "n": 2}, 1, 0),
+            InequalityVerdict("x", {"n": 2, "m": 1}, 1, 0),
+        )
+        assert hash(reordered[0]) == hash(reordered[1])
+        assert len(set(reordered)) == 1
 
     @pytest.mark.parametrize("make", VERDICT_MAKERS)
     @pytest.mark.parametrize(
