@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Polynomial, SplitMix64, format_rational
 from .identities import (
-    IdentityVerdict,
     build_polynomial_L,
     check_corollary28,
     check_kummer_classical,
@@ -176,7 +175,7 @@ def cmd_counterexample(args) -> int:
     return 0 if refuted else 1
 
 
-def identity_verdicts(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVerdict]:
+def identity_verdicts(n_max: int, r_max: int, l_max: int) -> Iterator[InequalityVerdict]:
     """The symmetric, lemma25/27, corollary28 and Kummer verdicts, in report order;
     the Kummer grid stops at r = KUMMER_R_MAX."""
     for n in range(n_max + 1):
@@ -192,15 +191,14 @@ def identity_verdicts(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVe
             yield check_kummer_classical(r, b)
 
 
-def polynomial_L_verdicts(r_max: int) -> Iterator[IdentityVerdict]:
+def polynomial_L_verdicts(r_max: int) -> Iterator[InequalityVerdict]:
     """L == 0 for r = 1..r_max; lhs is the sum of |coefficients|, so it holds iff L is empty."""
     for r in range(1, r_max + 1):
-        poly = build_polynomial_L(r)
-        residue = sum((abs(c) for c in poly.coeffs), Fraction(0))
-        yield IdentityVerdict("L_zero_polynomial", {"r": r}, residue, Fraction(0))
+        residue = sum(map(abs, build_polynomial_L(r).coeffs), Fraction(0))
+        yield InequalityVerdict("L_zero_polynomial", {"r": r}, residue, Fraction(0), "==")
 
 
-def identity_suite(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVerdict]:
+def identity_suite(n_max: int, r_max: int, l_max: int) -> Iterator[InequalityVerdict]:
     """Every identity family at the requested ranges, in report order; the
     ranges are checked at once, the verdicts decided as they are read."""
     if n_max < 0 or r_max < 1 or l_max < 1:
@@ -213,13 +211,19 @@ def identity_suite(n_max: int, r_max: int, l_max: int) -> Iterator[IdentityVerdi
 
 def run_identity_suite(n_max: int, r_max: int, l_max: int) -> list[dict]:
     """Every identity family at the requested ranges, as JSON-ready dicts."""
-    return [v.as_dict() for v in identity_suite(n_max, r_max, l_max)]
+    return [identity_record(v) for v in identity_suite(n_max, r_max, l_max)]
+
+
+def identity_record(v: InequalityVerdict) -> dict:
+    """One line of the `identities` report."""
+    lhs, rhs = format_rational(v.lhs), format_rational(v.rhs)
+    return {"identity": v.claim, "params": dict(v.params), "lhs": lhs, "rhs": rhs, "holds": v.holds}
 
 
 def cmd_identities(args) -> int:
     total = failed = 0
     for verdict in identity_suite(args.n_max, args.r_max, args.l_max):
-        print(json.dumps(verdict.as_dict()))
+        print(json.dumps(identity_record(verdict)))
         total += 1
         failed += not verdict.holds
     print(f"identities: total={total} failed={failed}", file=sys.stderr)

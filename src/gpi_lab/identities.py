@@ -1,10 +1,10 @@
 """Exact verification of the combinatorial identities behind the symmetric case.
 
 Each check computes its two sides through genuinely different routes (finite
-sums of binomials/rising factorials vs. closed forms) and compares the exact
-rationals.  The auxiliary polynomial L is assembled by symbolic expansion of
-shifted rising-factorial products into coefficient lists, never by
-interpolation, so "L is identically zero" is a statement about coefficients.
+sums of binomials/rising factorials vs. closed forms) and returns a
+`verifier.InequalityVerdict` with relation "==".  L is assembled by symbolic
+expansion of shifted rising-factorial products into coefficient lists, never
+by interpolation, so "L is identically zero" is a statement about coefficients.
 """
 
 from __future__ import annotations
@@ -13,44 +13,10 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
-from .core import FrozenDict, Polynomial, Scalar, format_rational, parse_rational
+from .core import Polynomial, Scalar, format_rational, parse_rational
 from .specialfn import hyp2f1_terminating, pochhammer
-
-
-class _IdentityFields(NamedTuple):
-    identity: str
-    params: Mapping[str, object]
-    lhs: Fraction
-    rhs: Fraction
-
-
-class IdentityVerdict(_IdentityFields):
-    """Exact verdict on one identity instance; holds means lhs == rhs.
-    `params` is frozen into a read-only dict whenever a verdict is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, identity, params, *rest, **kwargs):
-        return super().__new__(cls, identity, FrozenDict(params), *rest, **kwargs)
-
-    @classmethod
-    def _make(cls, iterable):  # `_replace` builds through here
-        return cls(*iterable)
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-    def as_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "lhs": format_rational(self.lhs),
-            "rhs": format_rational(self.rhs),
-            "holds": self.holds,
-        }
+from .verifier import InequalityVerdict
 
 
 def _require_l_le_r(l: int, r: int) -> None:
@@ -64,7 +30,7 @@ def _ratio_sum(terms: list[tuple[int, int]]) -> Fraction:
     return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
-def check_symmetric_identity(n: int, r: int) -> IdentityVerdict:
+def check_symmetric_identity(n: int, r: int) -> InequalityVerdict:
     """Alternating Pochhammer sum against its closed product form.
 
         sum_{i=0}^{2r} (-1)^i C(2r,i) (1/2)_{n+2r-i} (1/2)_{n+i}
@@ -84,10 +50,10 @@ def check_symmetric_identity(n: int, r: int) -> IdentityVerdict:
     )
     half = Fraction(1, 2)
     rhs = 2 ** (2 * r) * pochhammer(half, n) * pochhammer(half, r) * pochhammer(half, n + r)
-    return IdentityVerdict("symmetric_identity", {"n": n, "r": r}, lhs, rhs)
+    return InequalityVerdict("symmetric_identity", {"n": n, "r": r}, lhs, rhs, "==")
 
 
-def check_lemma25(l: int, r: int) -> IdentityVerdict:
+def check_lemma25(l: int, r: int) -> InequalityVerdict:
     """Binomial-ratio sum against its factorial closed form, for 1 <= l <= r.
 
         sum_{i=0}^{l-1} C(2r,i) C(l-1,i) / C(2r-l,i)  =  (2r)! / (2 r! r! C(2r-l,r))
@@ -100,10 +66,10 @@ def check_lemma25(l: int, r: int) -> IdentityVerdict:
         math.factorial(2 * r),
         2 * math.factorial(r) ** 2 * math.comb(2 * r - l, r),
     )
-    return IdentityVerdict("lemma25_sum", {"l": l, "r": r}, lhs, rhs)
+    return InequalityVerdict("lemma25_sum", {"l": l, "r": r}, lhs, rhs, "==")
 
 
-def check_lemma27(l: int, r: int) -> IdentityVerdict:
+def check_lemma27(l: int, r: int) -> InequalityVerdict:
     """Prefactored binomial sum that collapses to 1, for 1 <= l <= r.
 
         (2 r! (l-1)! (2r-2l+1)! / ((2r)! (r-l)!))
@@ -114,13 +80,13 @@ def check_lemma27(l: int, r: int) -> IdentityVerdict:
         2 * math.factorial(r) * math.factorial(l - 1) * math.factorial(2 * r - 2 * l + 1),
         math.factorial(2 * r) * math.factorial(r - l),
     )
-    total = sum(
+    lhs = prefactor * sum(
         math.comb(2 * r, i) * math.comb(2 * r - l - i, 2 * r - 2 * l + 1) for i in range(l)
     )
-    return IdentityVerdict("lemma27_product", {"l": l, "r": r}, prefactor * total, Fraction(1))
+    return InequalityVerdict("lemma27_product", {"l": l, "r": r}, lhs, Fraction(1), "==")
 
 
-def check_corollary28(l: int, r: int) -> IdentityVerdict:
+def check_corollary28(l: int, r: int) -> InequalityVerdict:
     """Reciprocal-binomial sum against 1/(2 C(r,l)), for 1 <= l <= r.
 
         sum_{i=0}^{l-1} C(l-1,i) / C(2r-i,l)  =  1 / (2 C(r,l))
@@ -128,10 +94,10 @@ def check_corollary28(l: int, r: int) -> IdentityVerdict:
     _require_l_le_r(l, r)
     lhs = _ratio_sum([(math.comb(l - 1, i), math.comb(2 * r - i, l)) for i in range(l)])
     rhs = Fraction(1, 2 * math.comb(r, l))
-    return IdentityVerdict("corollary28_sum", {"l": l, "r": r}, lhs, rhs)
+    return InequalityVerdict("corollary28_sum", {"l": l, "r": r}, lhs, rhs, "==")
 
 
-def check_kummer_classical(r: int, b: Scalar) -> IdentityVerdict:
+def check_kummer_classical(r: int, b: Scalar) -> InequalityVerdict:
     """Kummer's evaluation at z = -1 via the terminating series.
 
         F(-2r, b, 1-2r-b; -1)  =  (b)_r (2r)! / (r! (b)_{2r})
@@ -144,9 +110,7 @@ def check_kummer_classical(r: int, b: Scalar) -> IdentityVerdict:
     b = parse_rational(b)
     lhs = hyp2f1_terminating(-2 * r, b, 1 - 2 * r - b, -1)
     rhs = pochhammer(b, r) * math.factorial(2 * r) / (math.factorial(r) * pochhammer(b, 2 * r))
-    return IdentityVerdict(
-        "kummer_classical", {"r": r, "b": format_rational(b)}, lhs, rhs
-    )
+    return InequalityVerdict("kummer_classical", {"r": r, "b": format_rational(b)}, lhs, rhs, "==")
 
 
 def build_polynomial_L(r: int) -> Polynomial:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -393,7 +394,15 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
         base *= double_factorial_odd(h) * scaled[c][c] ** h
         top[c] = 0
     if plan.levels and base:
-        base *= _pair_sum(plan, tuple(top))
+        # A descent cut short leaves the memo sound: `_pair_sum` stores a
+        # level's sum only once it is complete.
+        try:
+            base *= _pair_sum(plan, tuple(top))
+        except RecursionError:
+            raise ValueError(
+                f"{len(plan.levels)} nonzero cross pairs need a deeper descent than "
+                f"Python's recursion limit of {sys.getrecursionlimit()} allows"
+            ) from None
     return Fraction(base, cov.denominator ** (sum(k) // 2))
 
 

@@ -62,7 +62,7 @@ class InequalityVerdict(_InequalityFields):
     def holds(self) -> bool:
         """The relation holds and, where `equality_condition_met` is stated,
         the verdict is an equality exactly when that condition is met."""
-        if self.equality_condition_met not in (None, self.equality):
+        if self.equality_condition_met is not None and self.equality_condition_met != self.equality:
             return False
         if self.relation == ">":
             return self.lhs > self.rhs

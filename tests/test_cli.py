@@ -273,6 +273,19 @@ class TestMoment:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
 
+    def test_descent_past_the_recursion_limit_is_usage_error(self, tmp_path):
+        # Every cross entry of this 46x46 covariance is nonzero: 1035 levels,
+        # one frame each.  The RecursionError once exited 3.
+        d = 46
+        rows = [[d if i == j else 1 for j in range(d)] for i in range(d)]
+        path = tmp_path / "dense46.json"
+        path.write_text(json.dumps({"dim": d, "entries": rows}))
+        argv = ["-m", "gpi_lab", "moment", "--cov", str(path), "--exps", ",".join("2" * d)]
+        proc = run_python(argv)
+        assert_one_line_error(proc, 2, "gpi-lab: error: 1035 nonzero cross pairs ")
+        assert re.search(r"recursion limit of \d+ allows\n$", proc.stderr), proc.stderr
+        assert proc.stdout == ""
+
     def test_non_psd_covariance_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dim": 2, "entries": [["1", "2"], ["2", "1"]]}))
@@ -1165,7 +1178,7 @@ class TestVerify:
         probe = (
             "import sys; import gpi_lab.cli as cli; "
             "sys.flags.optimize or sys.exit(99); "
-            "cli.check_lemma27 = lambda l, r: cli.IdentityVerdict('x', {}, 0, 1); "
+            "cli.check_lemma27 = lambda l, r: cli.InequalityVerdict('x', {}, 0, 1, '=='); "
             "sys.exit(cli.main(['verify', '--quick']))"
         )
         proc = run_python(["-O", "-c", probe])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from gpi_lab import cli, identities
 from gpi_lab.identities import (
     build_polynomial_L,
     check_corollary28,
@@ -16,8 +17,34 @@ from gpi_lab.identities import (
     check_symmetric_identity,
 )
 from gpi_lab.specialfn import pochhammer
+from gpi_lab.verifier import InequalityVerdict
 
 HALF = Fraction(1, 2)
+
+# A valid point of every `check_*` function in `identities`; a new check
+# without one fails the test below with a KeyError.
+IDENTITY_POINTS = {
+    "check_symmetric_identity": (2, 3),
+    "check_lemma25": (2, 3),
+    "check_lemma27": (2, 3),
+    "check_corollary28": (2, 3),
+    "check_kummer_classical": (2, "1/2"),
+}
+IDENTITY_CHECKS = sorted(name for name in vars(identities) if name.startswith("check_"))
+
+
+@pytest.mark.parametrize("name", [*IDENTITY_CHECKS, "polynomial_L_verdicts"])
+def test_every_identity_is_an_equality_verdict(name):
+    if name == "polynomial_L_verdicts":
+        verdict = list(cli.polynomial_L_verdicts(3))[-1]
+    else:
+        verdict = getattr(identities, name)(*IDENTITY_POINTS[name])
+    assert type(verdict) is InequalityVerdict
+    assert verdict.relation == "=="
+    assert verdict.equality_condition_met is None
+    assert verdict.holds == (verdict.lhs == verdict.rhs)
+    assert verdict.holds
+    assert not verdict._replace(rhs=verdict.rhs + 1).holds
 
 
 class TestSymmetricIdentity:

@@ -393,6 +393,24 @@ class TestMemoisedEngine:
             sys.setrecursionlimit(limit)
         assert values == [gaussian_moment(mirrored, ks[::-1]) for ks in queries]
 
+    def test_descent_past_the_recursion_limit_is_an_input_error(self):
+        # A 60-coordinate chain has 59 levels, past a limit 30 frames above
+        # the caller.  The plan already holds the sums of a finished call, and
+        # the cut-short descent must leave only complete ones beside them.
+        rows = [[4 if i == j else int(abs(i - j) == 1) for j in range(60)] for i in range(60)]
+        cov = CovarianceMatrix.from_rows(rows)
+        gaussian_moment(cov, (2,) * 60)
+        ks = (4,) * 60
+        limit = sys.getrecursionlimit()
+        lowered = len(inspect.stack(0)) + 30
+        message = f"^59 nonzero cross pairs .* recursion limit of {lowered} allows$"
+        with pytest.raises(ValueError, match=message):
+            sys.setrecursionlimit(lowered)
+            try:
+                gaussian_moment(cov, ks)
+            finally:
+                sys.setrecursionlimit(limit)
+        assert gaussian_moment(cov, ks) == gaussian_moment(CovarianceMatrix.from_rows(rows), ks)
 
 class TestTablesPerCovariance:
     """Each covariance carries its own integer form and power tables."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from gpi_lab import verifier
 from gpi_lab._pairing import pairing_moment, wick_moment
 from gpi_lab.core import Polynomial, SplitMix64
-from gpi_lab.identities import IdentityVerdict, check_lemma25
+from gpi_lab.identities import check_lemma25
 from gpi_lab.moments import CovarianceMatrix, random_covariance, univariate_even_moment
 from gpi_lab.specialfn import half_binomial, hyp2f1_terminating, pochhammer
 from gpi_lab.verifier import (
@@ -616,7 +616,7 @@ VERDICT_MAKERS = [
         id="inequality_replaced",
     ),
     pytest.param(
-        lambda: IdentityVerdict("x", {"m": 1}, 1, 1)._replace(params={"m": 2}),
+        lambda: InequalityVerdict("x", {"m": 1}, 1, 1, "==")._replace(params={"m": 2}),
         id="identity_replaced",
     ),
 ]
