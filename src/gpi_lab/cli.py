@@ -119,7 +119,10 @@ def _open_report(path: str):
     if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK)):
         partial = path + ".partial"
         with contextlib.suppress(OSError):
-            fh = open(partial, "w", encoding="utf-8", newline="")
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(partial)  # a leftover partial is removed, never followed
+            fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            fh = open(fd, "w", encoding="utf-8", newline="")
             try:
                 if st is not None:  # the new file keeps the old one's owner and mode
                     os.fchown(fh.fileno(), st.st_uid, st.st_gid)
@@ -563,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="seeded randomized covariance sweep of thm32")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--m-max", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=2)
+    p.add_argument("--q", type=int, default=SweepConfig._field_defaults["q"])
+    p.add_argument("--m-max", type=int, default=SweepConfig._field_defaults["m_max"])
+    p.add_argument("--n-max", type=int, default=SweepConfig._field_defaults["n_max"])
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="write records to this path instead of stdout")
     p.add_argument(

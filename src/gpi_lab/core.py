@@ -5,7 +5,7 @@ Every quantity that enters a verdict is an arbitrary-precision rational
 Every `Scalar` input in the package is read through `parse_rational`, which
 refuses binary floats.  Verdict parameters are held in a read-only dict.
 Polynomials are dense lists of integer numerators over one denominator, and
-root isolation is plain bisection driven by exact sign evaluations.
+Lemma 2.10's root isolation is exact-sign bisection on [0, 1].
 """
 
 from __future__ import annotations
@@ -186,39 +186,20 @@ def _reduced(nums: list[int], den: int) -> Polynomial:
     return p
 
 
-def isolate_root(
-    p: Polynomial,
-    lo: Scalar,
-    hi: Scalar,
-    width: Scalar,
-) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] around a sign change of p to an interval of at most `width`.
+def isolate_root(p: Polynomial, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve [0, 1] around the root of p until the bracket is at most `width` wide.
 
-    Requires width > 0 (ValueError otherwise, since bisection would never stop)
-    and p(lo), p(hi) of opposite signs (ValueError otherwise);
-    an endpoint that is already a root yields the degenerate interval at that
-    endpoint.  All sign decisions are exact rational comparisons.
+    Lemma 2.10's bisection: the caller guarantees p(0) < 0 < p(1) and width > 0.
+    A midpoint that is an exact root yields the degenerate bracket (mid, mid).
     """
-    lo, hi, width = parse_rational(lo), parse_rational(hi), parse_rational(width)
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if width <= 0:
-        raise ValueError(f"need width > 0, got {width}")
-    f_lo = p(lo)
-    if f_lo == 0:
-        return (lo, lo)
-    f_hi = p(hi)
-    if f_hi == 0:
-        return (hi, hi)
-    if (f_lo > 0) == (f_hi > 0):
-        raise ValueError(f"p({lo}) and p({hi}) share their sign; no bracket")
+    lo, hi = Fraction(0), Fraction(1)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        f_mid = p(mid)
-        if f_mid == 0:
+        value = p(mid)
+        if value == 0:
             return (mid, mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+        if value < 0:
+            lo = mid
         else:
             hi = mid
     return (lo, hi)

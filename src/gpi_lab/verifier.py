@@ -112,7 +112,7 @@ class StationaryPointCertificate(NamedTuple):
     bracket: tuple[Fraction, Fraction] | None
     diff_lo: Fraction | None
     diff_hi: Fraction | None
-    derivative_at_half: Fraction | None = None
+    derivative_at_half: Fraction | None
 
     @property
     def stationary_values_agree(self) -> bool:
@@ -245,11 +245,9 @@ def check_lemma210(m: int, n: int, r: int) -> StationaryPointCertificate:
     at_half = db(Fraction(1, 2)) if m == n else None
     if not (db(0) < 0 < db(1)):
         return StationaryPointCertificate(m, n, r, None, None, None, at_half)
-    lo, hi = isolate_root(db, 0, 1, LEMMA210_WIDTH)
+    lo, hi = isolate_root(db, LEMMA210_WIDTH)
     diff = b_next - b_curr
-    return StationaryPointCertificate(
-        m, n, r, (lo, hi), diff(lo), diff(hi), derivative_at_half=at_half
-    )
+    return StationaryPointCertificate(m, n, r, (lo, hi), diff(lo), diff(hi), at_half)
 
 
 def check_min_C(m: int, n: int, r: int) -> InequalityVerdict:

@@ -422,6 +422,18 @@ class TestCheck:
         assert doc["holds"] is True
         assert doc["min_left_of_half"] is True
 
+    def test_lemma210_midpoint_root_is_a_degenerate_bracket(self, capsys):
+        # B_3' for m = 2, n = 0, r = 3 vanishes at the bisection midpoint 1/4.
+        code, out, _ = run_cli(
+            capsys, "check", "--claim", "lemma210", "--m", "2", "--n", "0", "--r", "3"
+        )
+        assert code == 0
+        assert out == (
+            '{"claim": "lemma_stationary_match", "params": {"m": 2, "n": 0, "r": 3}, '
+            '"bracket": ["1/4", "1/4"], "diff_lo": "0", "diff_hi": "0", "holds": true, '
+            '"derivative_at_half": null, "min_left_of_half": null}\n'
+        )
+
     def test_failed_proof_step_is_a_refutation(self, capsys, monkeypatch):
         # B = gamma has B' = 1 on [0, 1], so lemma 2.10 finds no minimum.
         monkeypatch.setattr(verifier, "build_gamma_polynomials", gamma_as_B)
@@ -797,6 +809,25 @@ class TestSweep:
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
     @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    def test_leftover_partial_is_removed_not_followed(self, tmp_path, capsys, link):
+        # A leftover report.json.partial linked to another file must not overwrite it.
+        victim = tmp_path / "victim"
+        victim.write_bytes(b"precious\n")
+        partial = tmp_path / "report.json.partial"
+        if link == "symlink":
+            partial.symlink_to(victim)
+        else:
+            os.link(victim, partial)
+        path = tmp_path / "report.json"
+        base = ["sweep", "--seed", "1", "--count", "2"]
+        code, stdout_report, _ = run_cli(capsys, *base)
+        assert run_cli(capsys, *base, "--out", str(path))[:2] == (code, "")
+        assert victim.read_bytes() == b"precious\n"
+        assert stat.S_ISREG(path.lstat().st_mode)
+        assert path.read_text() == stdout_report
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "victim"]
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
     def test_linked_out_is_written_in_place(self, tmp_path, capsys, link):
         # Replacing the path would cut the link; the report must reach the linked file.
         target = tmp_path / "target.json"
@@ -963,6 +994,11 @@ class TestSweep:
         with pytest.raises(ValueError) as info:
             cli.run_sweep(config)
         assert str(info.value) == message
+
+    def test_parser_defaults_are_the_sweep_configs(self):
+        args = cli.build_parser().parse_args(["sweep", "--seed", "1", "--count", "2"])
+        defaults = cli.SweepConfig._field_defaults
+        assert {name: getattr(args, name) for name in defaults} == defaults
 
     def test_sweep_config_is_immutable(self):
         config = cli.SweepConfig(seed=1, count=2)
