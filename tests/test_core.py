@@ -345,6 +345,44 @@ class TestIsolateRoot:
         quarter = Fraction(1, 4)
         assert isolate_root(Polynomial([-1, 4]), Fraction(1, 1024)) == (quarter, quarter)
 
+    @pytest.mark.parametrize("root", ["1/2", "3/4", "5/8", "13/16"])
+    def test_dyadic_root_is_hit_exactly(self, root):
+        # Midpoints 1/2, 3/4, 5/8, 13/16 lie 1-4 halvings deep, taking both branches.
+        root = Fraction(root)
+        p = Polynomial([-root.numerator, root.denominator])
+        assert isolate_root(p, Fraction(1, 1024)) == (root, root)
+
+    def test_stops_once_width_is_reached(self):
+        # 2x^2 - 1 has the irrational root 1/sqrt(2); a bracket exactly `width`
+        # wide is narrow enough, so two halvings give [1/2, 3/4].
+        p = Polynomial([-1, 0, 2])
+        assert isolate_root(p, Fraction(1, 4)) == (HALF, Fraction(3, 4))
+
+    @given(
+        polynomials(max_degree=3),
+        st.builds(Fraction, st.integers(-12, -1), st.integers(1, 8)),
+        st.builds(Fraction, st.integers(1, 12), st.integers(1, 8)),
+        st.integers(0, 12),
+    )
+    def test_matches_the_sign_tracking_bisection(self, q, a, b, k):
+        # Every p with p(0) = a < 0 < b = p(1) is x(1 - x) q + a + (b - a) x.
+        # Given p(0) < 0, "p(mid) < 0" is the general sign test
+        # "sign p(mid) == sign p(lo)", so every bracket keeps its bytes.
+        p = Polynomial([0, 1, -1]) * q + Polynomial([a, b - a])
+        width = Fraction(1, 2**k)
+        lo, hi, f_lo = Fraction(0), Fraction(1), p(0)
+        expected = None
+        while expected is None and hi - lo > width:
+            mid = (lo + hi) / 2
+            f_mid = p(mid)
+            if f_mid == 0:
+                expected = (mid, mid)
+            elif (f_mid > 0) == (f_lo > 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        assert isolate_root(p, width) == (expected or (lo, hi))
+
     @given(
         st.integers(1, 9),
         st.integers(2, 10),
