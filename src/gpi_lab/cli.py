@@ -74,6 +74,8 @@ def _load_covariance(path: str) -> CovarianceMatrix:
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"covariance JSON in {path} nests too deeply") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"covariance JSON in {path}: {exc}") from None
     return CovarianceMatrix.from_json(doc)
 
 
@@ -110,6 +112,8 @@ def covariance_hash(cov: CovarianceMatrix) -> str:
 def _open_report(path: str):
     """Open `path` for a report.  Returns the file and, when the report goes
     through `<path>.partial` to replace `path` once complete, that name."""
+    if not path:  # "" + ".partial" would name a file in the working directory
+        raise ValueError("report path is empty")
     try:
         st = os.lstat(path)
     except FileNotFoundError:
@@ -309,35 +313,27 @@ def _diagonal_covariance(gen: SplitMix64, q: int) -> CovarianceMatrix:
     return CovarianceMatrix.diagonal(diag)
 
 
-def sweep_draws(
-    config: SweepConfig,
-) -> Iterator[tuple[int, CovarianceMatrix, list[tuple[int, int, InequalityVerdict]]]]:
-    """Each draw's index, covariance and (m, n, thm32 verdict) for m <= m_max,
-    n <= n_max, one draw at a time; run_sweep checks the config."""
+def sweep_draws(config: SweepConfig) -> Iterator[tuple[CovarianceMatrix, list[InequalityVerdict]]]:
+    """Each draw's covariance and its thm32 verdicts, m <= m_max outer and
+    n <= n_max inner, one draw at a time; run_sweep checks the config."""
     seed, count, q, m_max, n_max, diagonal = config
     gen = SplitMix64(seed)
-    for idx in range(count):
-        if diagonal:
-            cov = _diagonal_covariance(gen, q)
-        else:
-            cov = random_covariance(gen, 3, q)
-        verdicts = [
-            (m, n, check_thm32(m, n, cov))
-            for m in range(1, m_max + 1)
-            for n in range(1, n_max + 1)
+    for _ in range(count):
+        cov = _diagonal_covariance(gen, q) if diagonal else random_covariance(gen, 3, q)
+        yield cov, [
+            check_thm32(m, n, cov) for m in range(1, m_max + 1) for n in range(1, n_max + 1)
         ]
-        yield idx, cov, verdicts
 
 
 def _sweep_records(config: SweepConfig) -> Iterator[dict]:
-    for idx, cov, verdicts in sweep_draws(config):
+    for draw, (cov, verdicts) in enumerate(sweep_draws(config)):
         digest = covariance_hash(cov)
-        for m, n, verdict in verdicts:
+        for verdict in verdicts:
             yield {
-                "draw": idx,
+                "draw": draw,
                 "cov_hash": digest,
-                "m": m,
-                "n": n,
+                "m": verdict.params["m"],
+                "n": verdict.params["n"],
                 "lhs": format_rational(verdict.lhs),
                 "rhs": format_rational(verdict.rhs),
                 "holds": verdict.holds,
@@ -392,14 +388,7 @@ def render_sweep_csv(records: Iterable[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = SweepConfig(
-        seed=args.seed,
-        count=args.count,
-        q=args.q,
-        m_max=args.m_max,
-        n_max=args.n_max,
-        diagonal=args.diagonal,
-    )
+    config = SweepConfig._make(getattr(args, field) for field in SweepConfig._fields)
     records = run_sweep(config)
     header, line = SWEEP_LINES[args.format]
     total = holds = equalities = 0
@@ -482,7 +471,7 @@ def verification_families(quick: bool, seed: int) -> list[tuple[str, Iterator]]:
         ),
         (
             "randomized theorem sweep",
-            (v for c in (draws, diagonal_draws) for _, _, vs in sweep_draws(c) for _, _, v in vs),
+            (v for c in (draws, diagonal_draws) for _, vs in sweep_draws(c) for v in vs),
         ),
     ]
 

@@ -35,7 +35,10 @@ def parse_rational(text: Scalar) -> Fraction:
             f"refusing {type(text).__name__} {text!r}; pass an exact \"p/q\" string instead"
         )
     if isinstance(text, str) and text.count("/") == 1:
-        num, den = (int(part.strip()) for part in text.split("/"))
+        try:
+            num, den = (int(part.strip()) for part in text.split("/"))
+        except ValueError:
+            raise ValueError(f"{text!r} is not p/q with integers p and q") from None
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)

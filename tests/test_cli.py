@@ -41,6 +41,8 @@ LEMMA29_SHA256 = "2eb49406c6216d26e12690ef457859ed7ea4d96f2d449e4f3d5f9e0e70cf67
 # `sweep --seed 7 --count 10 --m-max 6 --n-max 6 --format csv --out FILE`.
 SWEEP_LIGHT_SHA256 = "a0e311b97a5e3e2613ee0d489878b354f948c82dff6cb3550ad6c4958d76584f"
 SWEEP_HEAVY_CSV_SHA256 = "d8a556d407dd8074d2e911679d5fbff89a58b14d91e8d4b2046537bd197d0101"
+# `sweep --seed 7 --count 3 --q 2 --m-max 1 --n-max 3 --format csv` on stdout.
+SWEEP_ASYMMETRIC_CSV_SHA256 = "f504b60ccc934796cadc71de2dbeb42b0b8edac42c03226d37ec937f5c5d37dd"
 # `verify --quick` and `verify` (default seed) on stdout, with each line's
 # ` in X.XXs` timing removed.
 VERIFY_QUICK_SHA256 = "7aed3f409c85f0ee8f7def9e3b440b8068050c68994f1d0196e46feff5888ad9"
@@ -217,19 +219,23 @@ class TestMoment:
         assert code == 2
 
     @pytest.mark.parametrize(
-        ("text", "exps"),
+        ("text", "exps", "names_path"),
         [
-            (json.dumps({"dim": 1}), "2,2"),
-            (json.dumps([1]), "2,2"),
-            (json.dumps({"dim": 1, "entries": [["1/0"]]}), "2,2"),
+            (json.dumps({"dim": 1}), "2,2", False),
+            (json.dumps([1]), "2,2", False),
+            (json.dumps({"dim": 1, "entries": [["1/0"]]}), "2,2", False),
             # json.load raises RecursionError here, which once exited 3.
-            ("[" * 100000 + "]" * 100000, "2,2"),
+            ("[" * 100000 + "]" * 100000, "2,2", True),
             # int() once read these as dim 2, so the moment printed 1.
-            (json.dumps({"dim": 2.9, "entries": [["1", "0"], ["0", "1"]]}), "2,2"),
-            (json.dumps({"dim": "2", "entries": [["1", "0"], ["0", "1"]]}), "2,2"),
+            (json.dumps({"dim": 2.9, "entries": [["1", "0"], ["0", "1"]]}), "2,2", False),
+            (json.dumps({"dim": "2", "entries": [["1", "0"], ["0", "1"]]}), "2,2", False),
             # A JSON true once read as the integer 1, so these printed 12 and 1.
-            (json.dumps({"dim": True, "entries": [["2"]]}), "4"),
-            (json.dumps({"dim": 1, "entries": [[True]]}), "2"),
+            (json.dumps({"dim": True, "entries": [["2"]]}), "4", False),
+            (json.dumps({"dim": 1, "entries": [[True]]}), "2", False),
+            # A file that is not JSON, or not UTF-8, once went unnamed in the error.
+            ("", "2", True),
+            ("{", "2", True),
+            (b"\xff\xfe{}", "2", True),
         ],
         ids=[
             "missing-entries",
@@ -240,15 +246,21 @@ class TestMoment:
             "string-dim",
             "true-dim",
             "true-entry",
+            "empty",
+            "truncated",
+            "not-utf8",
         ],
     )
-    def test_malformed_covariance_json_is_usage_error(self, capsys, tmp_path, text, exps):
+    def test_malformed_covariance_json_is_usage_error(
+        self, capsys, tmp_path, text, exps, names_path
+    ):
         path = tmp_path / "malformed.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", exps)
         assert code == 2
         assert out == ""
         assert err.startswith("gpi-lab: error:") and err.count("\n") == 1
+        assert str(path) in err or not names_path
 
     def test_high_degree_has_no_recursion_limit(self, capsys, tmp_path):
         path = tmp_path / "cov1.json"
@@ -725,6 +737,20 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_LIGHT_SHA256
 
+    def test_asymmetric_report_is_pinned(self, capsys):
+        # m_max != n_max, so swapping the two fails here.
+        code, out, err = run_cli(
+            capsys, "sweep", "--seed", "7", "--count", "3", "--q", "2",
+            "--m-max", "1", "--n-max", "3", "--format", "csv",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(int(d), int(m), int(n)) for d, _, m, n, *_ in rows] == [
+            (d, 1, n) for d in range(3) for n in (1, 2, 3)
+        ]
+        assert err == "sweep: draws=3 records=9 holds=9 failures=0 equalities=0\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_ASYMMETRIC_CSV_SHA256
+
     def test_heavy_csv_bytes_are_pinned(self, tmp_path, capsys):
         path = tmp_path / "heavy.csv"
         code, _, _ = run_cli(
@@ -799,6 +825,18 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == f"gpi-lab: error: {error}: {str(path)!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+    def test_empty_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # "" + ".partial" names ./.partial: it was unlinked, then the whole
+        # report was written there before the final rename failed.
+        monkeypatch.setattr(cli, "sweep_draws", lambda config: pytest.fail("drew"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / ".partial").write_bytes(b"precious")
+        code, out, err = run_cli(capsys, "sweep", "--seed", "1", "--count", "2", "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("gpi-lab: error:") and err.count("\n") == 1
+        assert (tmp_path / ".partial").read_bytes() == b"precious"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".partial"]
 
     def test_replaced_out_keeps_its_mode(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -1139,11 +1177,11 @@ class TestVerify:
         real = cli.sweep_draws
 
         def one_strict_diagonal_verdict(config):
-            for idx, cov, verdicts in real(config):
-                if config.diagonal and idx == 0:
-                    m, n, v = verdicts[0]
-                    verdicts = [(m, n, v._replace(lhs=v.lhs + 1)), *verdicts[1:]]
-                yield idx, cov, verdicts
+            for draw, (cov, verdicts) in enumerate(real(config)):
+                if config.diagonal and draw == 0:
+                    v = verdicts[0]
+                    verdicts = [v._replace(lhs=v.lhs + 1), *verdicts[1:]]
+                yield cov, verdicts
 
         monkeypatch.setattr(cli, "sweep_draws", one_strict_diagonal_verdict)
         code, out, _ = run_cli(capsys, "verify", "--quick")
@@ -1157,12 +1195,12 @@ class TestVerify:
         real = cli.sweep_draws
 
         def one_equal_gram_verdict(config):
-            for idx, cov, verdicts in real(config):
-                if not config.diagonal and idx == 0:
-                    m, n, v = verdicts[0]
+            for draw, (cov, verdicts) in enumerate(real(config)):
+                if not config.diagonal and draw == 0:
+                    v = verdicts[0]
                     assert v.holds and v.equality_condition_met is False
-                    verdicts = [(m, n, v._replace(lhs=v.rhs)), *verdicts[1:]]
-                yield idx, cov, verdicts
+                    verdicts = [v._replace(lhs=v.rhs), *verdicts[1:]]
+                yield cov, verdicts
 
         monkeypatch.setattr(cli, "sweep_draws", one_equal_gram_verdict)
         code, out, _ = run_cli(capsys, "verify", "--quick")

@@ -6,6 +6,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,12 @@ class TestRationalSerialization:
     def test_division_by_zero_rejected(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_rational("1/0")
+
+    @pytest.mark.parametrize("text", ["1.5/2", "1/x", "/2", "2/"])
+    def test_non_integer_part_names_the_input(self, text):
+        # int() once named only the bad part, or read "1.5" as an int literal.
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_rational(text)
 
     def test_binary_floats_rejected(self):
         with pytest.raises(ValueError):
