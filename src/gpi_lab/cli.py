@@ -315,14 +315,16 @@ def _diagonal_covariance(gen: SplitMix64, q: int) -> CovarianceMatrix:
 
 def sweep_draws(config: SweepConfig) -> Iterator[tuple[CovarianceMatrix, list[InequalityVerdict]]]:
     """Each draw's covariance and its thm32 verdicts, m <= m_max outer and
-    n <= n_max inner, one draw at a time; run_sweep checks the config."""
+    n <= n_max inner, one draw at a time; run_sweep checks the config.  The
+    checks run from (m_max, n_max) down, so the largest moment builds the
+    draw's plan once and memoises the sub-sums the smaller ones read; the
+    verdicts are yielded reversed, in report order."""
     seed, count, q, m_max, n_max, diagonal = config
     gen = SplitMix64(seed)
+    largest_first = [(m, n) for m in range(m_max, 0, -1) for n in range(n_max, 0, -1)]
     for _ in range(count):
         cov = _diagonal_covariance(gen, q) if diagonal else random_covariance(gen, 3, q)
-        yield cov, [
-            check_thm32(m, n, cov) for m in range(1, m_max + 1) for n in range(1, n_max + 1)
-        ]
+        yield cov, [check_thm32(m, n, cov) for m, n in largest_first][::-1]
 
 
 def _sweep_records(config: SweepConfig) -> Iterator[dict]:
@@ -358,7 +360,15 @@ SWEEP_FIELDS = ("draw", "cov_hash", "m", "n", "lhs", "rhs", "holds", "equality")
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record) + "\n"
+    """One record as a JSON line, byte for byte `json.dumps(record) + "\\n"`:
+    the fields in SWEEP_FIELDS order, and no string that needs escaping (a
+    hex digest and two "p/q" rationals)."""
+    r = record
+    return (
+        f'{{"draw": {r["draw"]}, "cov_hash": "{r["cov_hash"]}", "m": {r["m"]}, "n": {r["n"]}, '
+        f'"lhs": "{r["lhs"]}", "rhs": "{r["rhs"]}", "holds": {"true" if r["holds"] else "false"}, '
+        f'"equality": {"true" if r["equality"] else "false"}}}\n'
+    )
 
 
 def _csv_line(record: dict) -> str:

@@ -22,11 +22,13 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gpi_lab
 from gpi_lab import cli, specialfn, verifier
 from gpi_lab.cli import covariance_hash, main
-from gpi_lab.core import Polynomial, SplitMix64
+from gpi_lab.core import Polynomial, SplitMix64, format_rational
 from gpi_lab.moments import CovarianceMatrix, random_covariance
 
 IDENTITIES_DEFAULT_SHA256 = "9145627958bb4e9678a88930b5adb812ea4a3fd1d8a1601268b0f5b2443feaba"
@@ -47,6 +49,12 @@ SWEEP_ASYMMETRIC_CSV_SHA256 = "f504b60ccc934796cadc71de2dbeb42b0b8edac42c03226d3
 # ` in X.XXs` timing removed.
 VERIFY_QUICK_SHA256 = "7aed3f409c85f0ee8f7def9e3b440b8068050c68994f1d0196e46feff5888ad9"
 VERIFY_SHA256 = "4cd13549f3e662c87b0d1a4b179fa5dcbd638b65d3c01e74f59a47823af596ed"
+# A sweep record's lhs or rhs: a "p/q" (or integer) string.
+RATIONAL_TEXTS = st.builds(
+    lambda p, q: format_rational(Fraction(p, q)),
+    st.integers(-(10**60), 10**60),
+    st.integers(min_value=1),
+)
 
 POLY_ARGVS = [
     ["poly", "--which", which, "--m", str(m), "--n", str(n), "--r", str(r)]
@@ -678,12 +686,14 @@ class TestSweep:
 
     def test_refuted_draw_exits_1(self, capsys, monkeypatch):
         real = cli.check_thm32
-        calls = []
+        covs = []  # each covariance seen, told apart by identity, not by value
 
         def refuted_once(m, n, cov):
             verdict = real(m, n, cov)
-            calls.append((m, n))
-            return verdict._replace(rhs=verdict.lhs + 1) if len(calls) == 6 else verdict
+            if not covs or covs[-1] is not cov:
+                covs.append(cov)
+            refute = len(covs) == 2 and verdict.params == {"m": 1, "n": 2}
+            return verdict._replace(rhs=verdict.lhs + 1) if refute else verdict
 
         monkeypatch.setattr(cli, "check_thm32", refuted_once)
         code, out, err = run_cli(capsys, "sweep", "--seed", "7", "--count", "3")
@@ -691,6 +701,32 @@ class TestSweep:
         assert "failures=1" in err
         refuted = [rec for rec in map(json.loads, out.splitlines()) if not rec["holds"]]
         assert [(rec["draw"], rec["m"], rec["n"]) for rec in refuted] == [(1, 1, 2)]
+
+    def test_each_draw_asks_its_largest_moment_first(self, capsys, monkeypatch):
+        real = cli.check_thm32
+        calls = []  # (covariance, (m, n), its (0, 1, 2) plan after the call)
+
+        def spy(m, n, cov):
+            verdict = real(m, n, cov)
+            calls.append((cov, (m, n), cov._plans[(0, 1, 2)]))
+            return verdict
+
+        monkeypatch.setattr(cli, "check_thm32", spy)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--seed", "7", "--count", "2", "--m-max", "2", "--n-max", "3"
+        )
+        assert code == 0
+        pairs = [(m, n) for m in (1, 2) for n in (1, 2, 3)]
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(rec["draw"], rec["m"], rec["n"]) for rec in records] == [
+            (d, m, n) for d in range(2) for m, n in pairs
+        ]
+        draws = [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[0]))]
+        assert len(draws) == 2
+        for draw in draws:
+            assert draw[0][1] == (2, 3)
+            assert sorted(mn for _, mn, _ in draw) == pairs
+            assert draw[0][2] is draw[-1][2]  # the plan is built once per draw
 
     def test_diagonal_draws_hit_equality(self, capsys):
         code, out, _ = run_cli(
@@ -730,6 +766,23 @@ class TestSweep:
                     assert cell == ("true" if value else "false")
                 else:
                     assert cell == str(value)
+
+    @given(
+        st.tuples(
+            st.integers(0, 10**30),
+            st.text("0123456789abcdef", min_size=16, max_size=16),
+            st.integers(1, 50),
+            st.integers(1, 50),
+            RATIONAL_TEXTS,
+            RATIONAL_TEXTS,
+            st.booleans(),
+            st.booleans(),
+        ).map(lambda values: dict(zip(cli.SWEEP_FIELDS, values)))
+    )
+    def test_json_line_is_json_dumps(self, rec):
+        line = cli._json_line(rec)
+        assert line == json.dumps(rec) + "\n"
+        assert list(json.loads(line)) == list(cli.SWEEP_FIELDS)
 
     def test_light_report_bytes_are_pinned(self, capsys):
         # A speed-up that changes any report byte is a bug.
