@@ -18,11 +18,11 @@ exponents asked: a table reaches at most twice the largest exponent asked of
 its coordinates, and a level holds at most one sum per tuple of remainders of
 its open coordinates, each remainder at most the largest exponent asked of
 its coordinate.  Covariance validity (exact symmetry and positive
-semidefiniteness) is certified at construction time by fraction-free
+semidefiniteness) is certified at construction time by `is_psd`: fraction-free
 (Bareiss) elimination on the scaled integer matrix, and a matrix that fails
 reports its negative principal minor, read off the elimination's pivot.
-Rational inputs go through `core.parse_rational`, so binary floats are
-refused and no floating point is involved anywhere.
+Every scalar goes through `core.parse_rational`, so binary floats and booleans
+are refused and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -110,14 +110,12 @@ def _negative_minor(scaled: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], i
 def is_psd(rows: Sequence[Sequence[Scalar]]) -> PsdCertificate:
     """Exact PSD decision for a symmetric rational matrix.
 
-    The matrix is scaled to integers over a common denominator, which keeps the
-    sign of every principal minor, and eliminated fraction-free in Python ints.
-    A failing certificate carries the negative minor of `rows` itself: the
-    minor of the scaled matrix over D^|indices|.
+    Entries are read with `core.parse_rational` and scaled to integers over a
+    common denominator D, keeping the sign of every principal minor, for a
+    fraction-free elimination in Python ints.  A failing certificate carries
+    the negative minor of `rows` itself: the scaled minor over D^|indices|.
     """
-    den, scaled = _integer_form(
-        [[x if isinstance(x, (int, Fraction)) else parse_rational(x) for x in row] for row in rows]
-    )
+    den, scaled = _integer_form([[parse_rational(x) for x in row] for row in rows])
     found = _negative_minor(scaled)
     if found is None:
         return PsdCertificate(True)
@@ -135,10 +133,10 @@ def _not_str(values, what: str):
 class CovarianceMatrix:
     """Symmetric PSD matrix of rationals defining a centered Gaussian vector.
 
-    Construction parses every entry with `core.parse_rational`, scales the
-    entries once to the integer matrix S = `scaled` over their least common
-    denominator D = `denominator`, and certifies symmetry and positive
-    semidefiniteness on it exactly; singular (rank-deficient) matrices are
+    Construction parses every entry with `core.parse_rational`, certifies
+    symmetry and positive semidefiniteness with `is_psd` on its entries, and
+    scales them to the integer matrix S = `scaled` over their least common
+    denominator D = `denominator`; singular (rank-deficient) matrices are
     deliberately allowed.  Any entry or shape it cannot read is a ValueError.
     `_plans` maps each tuple of coordinates with a nonzero exponent to its
     `_Plan`, the moment engine's one mutable state.  A plan is replaced whole
@@ -155,14 +153,10 @@ class CovarianceMatrix:
             )
         except TypeError as exc:
             raise ValueError(f"bad covariance entry: {exc}") from None
-        den, scaled = _integer_form(entries)
-        # is_psd scales an integer matrix by the identity, so this stays one scaling.
-        cert = is_psd(scaled)
+        cert = is_psd(entries)
         if not cert:
-            raise ValueError(
-                f"not PSD: principal minor on rows {cert.indices} is "
-                f"{cert.minor / den ** len(cert.indices)}"
-            )
+            raise ValueError(f"not PSD: principal minor on rows {cert.indices} is {cert.minor}")
+        den, scaled = _integer_form(entries)
         vars(self).update(entries=entries, denominator=den, scaled=scaled, _plans={})
 
     def __setattr__(self, name, value):
@@ -407,9 +401,9 @@ def gaussian_moment(cov: CovarianceMatrix, exponents: Sequence[int]) -> Fraction
 
 
 def univariate_even_moment(variance: Scalar, m: int) -> Fraction:
-    """(2m-1)!! * variance^m, the even moment of a centered Gaussian scalar."""
-    if not isinstance(variance, (int, Fraction)):
-        variance = parse_rational(variance)
+    """(2m-1)!! * variance^m, the even moment of a centered Gaussian scalar;
+    the variance is read with `core.parse_rational`."""
+    variance = parse_rational(variance)
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     if m < 0:

@@ -312,6 +312,11 @@ class TestMoment:
         code, _, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2,2")
         assert code == 2
         assert "PSD" in err
+        # Rational entries: the minor is that of the entries, not of their integer form.
+        path.write_text(json.dumps({"dim": 2, "entries": [["1/2", "1"], ["1", "1/3"]]}))
+        code, _, err = run_cli(capsys, "moment", "--cov", str(path), "--exps", "2,2")
+        assert code == 2
+        assert err == "gpi-lab: error: not PSD: principal minor on rows (0, 1) is -5/6\n"
 
 
 class TestIdentities:
@@ -832,11 +837,12 @@ class TestSweep:
 
     def test_internal_error_keeps_the_earlier_report(self, tmp_path, capsys, monkeypatch):
         real = cli.check_thm32
-        calls = []
+        covs = []  # each covariance seen, told apart by identity, not by value
 
         def broken_on_draw_2(m, n, cov):
-            calls.append((m, n))
-            if len(calls) == 9:  # m, n <= 2: four checks per draw
+            if not covs or covs[-1] is not cov:
+                covs.append(cov)
+            if len(covs) == 3:
                 raise RuntimeError("draw 2")
             return real(m, n, cov)
 
